@@ -1,20 +1,22 @@
 #!/usr/bin/env python
-"""Replay backends: the event engine vs the compiled fast path.
+"""Replay backends: the exact event engine vs the adaptive fast path.
 
 The replay engine ships two backends selected by the ``replay_backend``
 platform knob:
 
 * ``event`` (the default): every CPU burst, MPI-overhead charge and
-  transfer hop is its own discrete event, and
-* ``compiled``: traces are pre-compiled into fused compute segments
-  (one timeout per segment) and uncontended transfers are granted inline
-  instead of running a per-hop acquisition chain.
+  transfer hop is its own discrete event -- the exact oracle, and
+* ``adaptive``: each cell is classified first.  Contention-free cells are
+  fast-forwarded in closed form (bit-identical to ``event``), cells with
+  finite links are fast-forwarded through a resource micro-model within
+  ``max_relative_error``, and cells the classifier cannot fast-forward
+  (decomposed collectives, CPU contention) fall back to the DES over a
+  fabric that grants uncontended transfers inline (again bit-identical).
 
-Both backends produce bit-identical simulated results -- the compiled
-backend only removes interpreter overhead, never model fidelity -- so the
-choice is purely a wall-time one.  This example replays the same sweep
-through both backends, checks the results match exactly, and reports the
-wall-time difference.
+Every adaptive cell reports how it ran and the error bound it claims.  This
+example replays the same sweep through both backends, checks every adaptive
+cell against the event result within its reported bound, and prints how
+many cells ran in each mode.
 
 Run with::
 
@@ -24,6 +26,7 @@ Run with::
 
 import argparse
 import time
+from collections import Counter
 
 from repro.apps import create_application
 from repro.core import (
@@ -38,15 +41,25 @@ from repro.experiments import Experiment, run_experiment
 
 
 def replay_grid(traces, platforms, backend):
-    """Replay every (trace, platform) cell; return (wall seconds, times)."""
+    """Replay every (trace, platform) cell.
+
+    Returns the wall seconds and one ``(cell label, simulated time,
+    adaptive summary)`` triple per cell (the summary is ``None`` on the
+    event backend).
+    """
     start = time.perf_counter()
-    times = []
+    cells = []
     for trace in traces:
         for platform in platforms:
             engine = ReplayEngine(trace, platform.with_replay_backend(backend),
                                   collect_timeline=False)
-            times.append(engine.run()[0])
-    return time.perf_counter() - start, times
+            total_time = engine.run()[0]
+            label = (f"{trace.metadata.get('name', 'trace')} on "
+                     f"{platform.topology.to_string()}/"
+                     f"{platform.collective_model.to_string()} at "
+                     f"{platform.bandwidth_mbps:g} MB/s")
+            cells.append((label, total_time, engine.adaptive_summary))
+    return time.perf_counter() - start, cells
 
 
 def main(argv=None) -> None:
@@ -57,39 +70,55 @@ def main(argv=None) -> None:
     ranks, iterations, samples = (4, 2, 3) if args.smoke else (16, 4, 6)
 
     # The paper-style workload: an application plus its ideally overlapped
-    # variant, swept across a log-spaced bandwidth grid.
+    # variant, swept across a log-spaced bandwidth grid on an unlimited
+    # flat network, a tree with one link per edge, and with decomposed
+    # collectives -- one grid per adaptive mode.
     environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))
     app = create_application("sweep3d", num_ranks=ranks, iterations=iterations)
     original = environment.trace(app)
     ideal = environment.overlap(original, pattern=ComputationPattern.IDEAL)
     traces = [original, ideal]
-    platforms = [Platform(bandwidth_mbps=bandwidth)
-                 for bandwidth in geometric_bandwidths(10.0, 10000.0, samples)]
+    bandwidths = geometric_bandwidths(10.0, 10000.0, samples)
+    platforms = [
+        Platform(bandwidth_mbps=bandwidth, **options)
+        for options in ({"input_links": 0, "output_links": 0},
+                        {"topology": "tree:radix=2,links=1"},
+                        {"collective_model": "decomposed"})
+        for bandwidth in bandwidths]
 
-    event_seconds, event_times = replay_grid(traces, platforms, "event")
-    compiled_seconds, compiled_times = replay_grid(traces, platforms, "compiled")
+    event_seconds, event_cells = replay_grid(traces, platforms, "event")
+    adaptive_seconds, adaptive_cells = replay_grid(traces, platforms,
+                                                   "adaptive")
 
-    assert event_times == compiled_times, \
-        "the compiled backend must be bit-identical to the event backend"
-    cells = len(traces) * len(platforms)
-    print(f"sweep3d, {ranks} ranks, {cells} sweep cells, "
-          f"simulated times bit-identical across backends")
+    modes = Counter()
+    for (label, event_time, _), (_, adaptive_time, summary) in zip(
+            event_cells, adaptive_cells):
+        modes[summary["mode"]] += 1
+        error = abs(adaptive_time - event_time)
+        assert error <= summary["error_bound"] * event_time, (
+            f"{label}: adaptive {adaptive_time!r} vs event {event_time!r} "
+            f"exceeds the claimed bound {summary['error_bound']}")
+    cells = len(event_cells)
+    print(f"sweep3d, {ranks} ranks, {cells} sweep cells, every adaptive "
+          f"cell within its reported error bound")
+    for mode, count in sorted(modes.items()):
+        print(f"  {mode:>13}: {count} cells")
     print(f"  event backend:    {event_seconds:7.3f} s")
-    print(f"  compiled backend: {compiled_seconds:7.3f} s "
-          f"({event_seconds / compiled_seconds:.2f}x)")
+    print(f"  adaptive backend: {adaptive_seconds:7.3f} s "
+          f"({event_seconds / adaptive_seconds:.2f}x)")
 
     # The same knob through the experiment API: one builder call (or
-    # ``repro-overlap run --replay-backend compiled`` on the CLI).
+    # ``repro-overlap run --replay-backend adaptive`` on the CLI).
     spec = (Experiment.for_app("sweep3d", num_ranks=ranks,
                                iterations=iterations)
             .patterns("ideal")
             .chunk_count(8)
-            .bandwidths([platform.bandwidth_mbps for platform in platforms])
-            .replay_backend("compiled")
+            .bandwidths(bandwidths)
+            .replay_backend("adaptive")
             .build())
     result = run_experiment(spec)
     print()
-    print(f"experiment API with .replay_backend('compiled'): "
+    print(f"experiment API with .replay_backend('adaptive'): "
           f"{len(result.to_rows())} rows")
 
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.des import Environment
-from repro.des.events import PENDING, PRIORITY_URGENT
+from repro.des.events import PRIORITY_URGENT
 from repro.des.resources import InfiniteResource, Request, Resource
-from repro.dimemas.collectives.base import ANALYTICAL
 from repro.dimemas.messages import Message
 from repro.dimemas.platform import Platform
 from repro.dimemas.topology import NetworkModel, build_network_model
@@ -189,31 +188,22 @@ class NetworkFabric:
 
 
 # ---------------------------------------------------------------------------
-# Compiled backend: event-eliding transfers
+# Collapsing fabric: event-eliding transfers
 # ---------------------------------------------------------------------------
 #
-# The compiled fabric removes per-message DES bookkeeping while keeping every
-# *side effect* (resource acquisition/release, statistics, event triggers) at
-# the same (time, priority, relative-order) position in the processing order
-# as the generator-based fabric above.  Event ids are assigned in push order,
-# so eliding an event that has no observable effect of its own (a process's
-# Initialize, a grant round-trip whose pop only resumes the owner, the
-# process-completion event nobody waits on) can never reorder the remaining
-# events.  A transfer whose whole acquisition is elided ("collapsed") pushes
-# its wire timeout at its bootstrap pop instead of at its last grant pop;
-# that is only safe when no observable event can land between those two
-# positions, which the fabric establishes one of two ways:
-#
-# * the *strict* guard: no other same-time urgent event is pending at all,
-#   so the window between the two positions is empty; or
-# * the *relaxed* guard (contention-free platforms with analytical
-#   collectives, past t=0): every limited resource of the hop is free and
-#   wanted by nobody else (``_interest``), no other transfer is mid-
-#   acquisition at this instant (``_acquiring``), and no intranode transfer
-#   is pending (``_pending_intranode``).  Under those conditions the other
-#   pending urgent events can neither change the outcome of this grant
-#   chain nor push a timeout inside the elided window, so the collapse is
-#   unobservable.
+# The collapsing fabric removes per-message DES bookkeeping while keeping
+# every *side effect* (resource acquisition/release, statistics, event
+# triggers) at the same (time, priority, relative-order) position in the
+# processing order as the generator-based fabric above.  Event ids are
+# assigned in push order, so eliding an event that has no observable effect
+# of its own (a process's Initialize, a grant round-trip whose pop only
+# resumes the owner, the process-completion event nobody waits on) can never
+# reorder the remaining events.  A transfer whose whole acquisition is elided
+# ("collapsed") pushes its wire timeout at its bootstrap pop instead of at
+# its last grant pop; that is only safe when no observable event can land
+# between those two positions, which the fabric establishes with one guard:
+# no other same-time urgent event is pending at all, so the window between
+# the two positions is empty.
 
 
 class _FastTransfer:
@@ -245,8 +235,6 @@ class _FastTransfer:
             for resource, request in self.grants:
                 resource.release(request)
             statistics.record_hop(hop.name, 0.0)
-            if fabric._relaxed:
-                fabric._drop_interest((hop,))
         message.arrival_time = env._now
         message.arrived.succeed(env._now)
         statistics.record(message.size, 0.0, self.duration, self.intranode,
@@ -266,13 +254,6 @@ class _TransferChain:
     request at the previous grant's pop, the wire timeout at the last
     grant's pop, releases / hop record / next hop (or completion) at the
     timeout's pop -- but without generator frames or Process wrappers.
-
-    In relaxed mode the chain also maintains the fabric's ``_acquiring``
-    count of transfers that are mid-acquisition *at the current instant*:
-    it leaves the count while queued on a busy resource and re-enters it
-    when the queued grant pops.  Collapses are blocked while the count is
-    non-zero, which pins the relative push order of same-instant wire
-    timeouts (acquisition-completion order) even on exact-time ties.
     """
 
     __slots__ = ("fabric", "message", "collective", "route", "hop_index",
@@ -292,11 +273,8 @@ class _TransferChain:
         self._begin_hop()
 
     def _begin_hop(self) -> None:
-        fabric = self.fabric
-        self.requested_at = fabric.env._now
+        self.requested_at = self.fabric.env._now
         self.grants = []
-        if fabric._relaxed:
-            fabric._acquiring += 1
         self._advance()
 
     def _advance(self) -> None:
@@ -308,23 +286,11 @@ class _TransferChain:
             resource = resources[index]
             request = resource.request()
             grants.append((resource, request))
-            if request._value is PENDING:
-                # Queued: the grant arrives at a future processing
-                # position, so this chain stops acquiring *at the current
-                # instant* until that grant pops.
-                fabric = self.fabric
-                if fabric._relaxed:
-                    fabric._acquiring -= 1
-                request.callbacks.append(self._granted_after_wait)
-            else:
-                request.callbacks.append(self._granted)
+            request.callbacks.append(self._granted)
             return
         # Every resource of the hop is held: start the wire time.  This
         # runs at the last grant's pop, exactly where the generator resumes.
-        fabric = self.fabric
-        env = fabric.env
-        if fabric._relaxed:
-            fabric._acquiring -= 1
+        env = self.fabric.env
         message = self.message
         self.hop_queue = env._now - self.requested_at
         if message.transfer_start is None:
@@ -334,12 +300,6 @@ class _TransferChain:
             self._finish_hop)
 
     def _granted(self, _event) -> None:
-        self._advance()
-
-    def _granted_after_wait(self, _event) -> None:
-        fabric = self.fabric
-        if fabric._relaxed:
-            fabric._acquiring += 1
         self._advance()
 
     def _finish_hop(self, _event) -> None:
@@ -356,8 +316,6 @@ class _TransferChain:
             return
         env = fabric.env
         message = self.message
-        if fabric._relaxed:
-            fabric._drop_interest(self.route)
         message.arrival_time = env._now
         message.arrived.succeed(env._now)
         fabric.statistics.record(message.size, self.queue_time,
@@ -369,25 +327,19 @@ class _TransferChain:
                 recv_time=message.arrival_time)
 
 
-def _grab_free_slots(resources, interest=None):
+def _grab_free_slots(resources):
     """Synchronously acquire every resource, or ``None`` if any is busy.
 
     Builds the same granted :class:`Request` tokens ``Resource.request``
     would (so ``release`` works unchanged) but skips the grant event -- the
     caller only takes this path when the grant chain would have popped
     back-to-back anyway, making the round-trips pure bookkeeping.
-
-    When ``interest`` (the fabric's posted-transfer interest counts) is
-    given, a limited resource additionally fails unless the requesting
-    transfer is the *only* in-flight transfer interested in it.
     """
     grants = []
     for resource in resources:
         kind = type(resource)
         if kind is Resource:
-            if (len(resource._users) >= resource._capacity
-                    or (interest is not None
-                        and interest.get(resource, 0) > 1)):
+            if len(resource._users) >= resource._capacity:
                 for held, token in grants:
                     held.release(token)
                 return None
@@ -412,40 +364,19 @@ def _grab_free_slots(resources, interest=None):
     return grants
 
 
-class CompiledNetworkFabric(NetworkFabric):
-    """The fabric of the ``compiled`` replay backend.
+class CollapsingNetworkFabric(NetworkFabric):
+    """The fabric of the ``adaptive`` backend's DES fallback.
 
     Transfers start from a bootstrap event at the exact queue position of
     the generic fabric's process-Initialize event.  When the bootstrap
-    pops with a single-hop route and either the strict or the relaxed
-    collapse guard holds (see the module comment above), the whole
-    acquisition collapses into synchronous calls and one completion
-    timeout.  Otherwise a :class:`_TransferChain` walks the route from
-    the same position with every side effect at its generic processing-
-    order slot.  Either way results are bit-identical to
-    :class:`NetworkFabric` (pinned by the backend golden tests).
-
-    The relaxed guard is enabled only on platforms where every urgent
-    event at a transfer instant belongs to the network fabric itself:
-    CPU contention off (no CPU grant chains resuming ranks mid-instant)
-    and analytical collectives (no phase processes bootstrapping at
-    t > 0).  Under it, ``_interest`` counts in-flight transfers per
-    limited resource (registered when a transfer is posted, dropped at
-    its completion), ``_acquiring`` counts transfers mid-acquisition at
-    the current instant and ``_pending_intranode`` counts posted-but-not-
-    begun intranode transfers (whose wire timeouts the generic backend
-    pushes at their bootstrap pop; collapsing across them could flip
-    exact-time timeout ties).
+    pops with a single-hop route and the collapse guard holds (see the
+    module comment above), the whole acquisition collapses into
+    synchronous calls and one completion timeout.  Otherwise a
+    :class:`_TransferChain` walks the route from the same position with
+    every side effect at its generic processing-order slot.  Either way
+    results are bit-identical to :class:`NetworkFabric` (pinned by the
+    backend golden tests).
     """
-
-    def __init__(self, env: Environment, platform: Platform, num_ranks: int,
-                 timeline: Optional[Timeline] = None):
-        NetworkFabric.__init__(self, env, platform, num_ranks, timeline)
-        self._interest: Dict[object, int] = {}
-        self._acquiring = 0
-        self._pending_intranode = 0
-        self._relaxed = (not platform.cpu_contention
-                         and platform.collective_model.kind == ANALYTICAL)
 
     def start_transfer(self, message: Message) -> None:
         self._post(message, False)
@@ -459,38 +390,11 @@ class CompiledNetworkFabric(NetworkFabric):
         platform = self.platform
         src_node = platform.node_of(message.src)
         dst_node = platform.node_of(message.dst)
-        if src_node == dst_node:
-            route = None
-            if self._relaxed:
-                self._pending_intranode += 1
-        else:
-            route = self.model.route(src_node, dst_node)
-            if self._relaxed:
-                self._add_interest(route)
+        route = (None if src_node == dst_node
+                 else self.model.route(src_node, dst_node))
         self.env.schedule_bootstrap(
             self._begin_collective if collective else self._begin_p2p,
             (message, route))
-
-    # -- interest tracking (relaxed mode only) ------------------------------
-    def _add_interest(self, route) -> None:
-        interest = self._interest
-        for hop in route:
-            for resource in hop.resources:
-                if type(resource) is InfiniteResource:
-                    continue
-                interest[resource] = interest.get(resource, 0) + 1
-
-    def _drop_interest(self, hops) -> None:
-        interest = self._interest
-        for hop in hops:
-            for resource in hop.resources:
-                if type(resource) is InfiniteResource:
-                    continue
-                remaining = interest[resource] - 1
-                if remaining:
-                    interest[resource] = remaining
-                else:
-                    del interest[resource]
 
     # -- bootstrap callbacks ------------------------------------------------
     def _begin_p2p(self, event) -> None:
@@ -508,8 +412,6 @@ class CompiledNetworkFabric(NetworkFabric):
             # Intranode: the generic path touches no shared resource
             # between its bootstrap and its timeout, so collapsing is
             # unconditionally order-preserving.
-            if self._relaxed:
-                self._pending_intranode -= 1
             message.transfer_start = now
             duration = self.platform.transfer_time(message.size,
                                                    intranode=True)
@@ -519,24 +421,19 @@ class CompiledNetworkFabric(NetworkFabric):
                 completion._complete)
             return
         if len(route) == 1:
-            hop = route[0]
             queue = env._queue
             if (not queue or queue[0][0] > now
                     or queue[0][1] != PRIORITY_URGENT):
-                # Strict guard: the elided window is empty outright, so no
-                # interest check is needed.
+                # The elided window is empty outright.
+                hop = route[0]
                 grants = _grab_free_slots(hop.resources)
-            elif (self._relaxed and now > 0.0 and self._acquiring == 0
-                    and self._pending_intranode == 0):
-                grants = _grab_free_slots(hop.resources, self._interest)
-            else:
-                grants = None
-            if grants is not None:
-                message.transfer_start = now
-                duration = hop.transfer_time(message.size)
-                completion = _FastTransfer(self, message, duration,
-                                           grants, hop, False, collective)
-                env.schedule_timeout(duration).callbacks.append(
-                    completion._complete)
-                return
+                if grants is not None:
+                    message.transfer_start = now
+                    duration = hop.transfer_time(message.size)
+                    completion = _FastTransfer(self, message, duration,
+                                               grants, hop, False,
+                                               collective)
+                    env.schedule_timeout(duration).callbacks.append(
+                        completion._complete)
+                    return
         _TransferChain(self, message, collective, route).start()

@@ -51,22 +51,21 @@ class Platform:
       environment quantify the cost of the extra partial sends/receives the
       overlap mechanism introduces;
     * ``replay_backend`` selects the replay implementation: ``event`` (the
-      default) walks every record through the generic DES, ``compiled``
-      batch-advances contention-free stretches (fused CPU-burst segments,
-      event-elided uncontended transfers), and ``adaptive`` fast-forwards
-      entire contention-free windows with closed-form per-rank time
-      recurrences, entering the DES only when decomposed collectives or
-      CPU contention force real event interleaving.  ``event`` and
-      ``compiled`` produce bit-identical results and are excluded from
-      result-cache keys; ``adaptive`` may approximate queueing order on
-      contended networks (bounded by ``max_relative_error``) and therefore
-      *is* part of the cache key;
+      default, and the exact oracle) walks every record through the
+      generic DES, and ``adaptive`` fast-forwards entire contention-free
+      windows with closed-form per-rank time recurrences, entering the DES
+      (over an event-eliding fabric, bit-identical to ``event``) only when
+      decomposed collectives or CPU contention force real event
+      interleaving.  Under ``event`` the knob stays out of result-cache
+      keys; ``adaptive`` may approximate queueing order on contended
+      networks (bounded by ``max_relative_error``) and therefore *is* part
+      of the cache key;
     * ``max_relative_error`` bounds the relative divergence the
       ``adaptive`` backend is allowed on elapsed-time scalars versus the
       exact ``event`` backend.  Windows the classifier proves
       contention-free are replayed exactly regardless of this knob; it
       only governs (and keys) the approximate fast-forward of contended
-      windows.  Ignored by the exact backends.
+      windows.  Ignored by the ``event`` backend.
     """
 
     name: str = "default"
@@ -118,9 +117,9 @@ class Platform:
             raise ConfigurationError("eager_threshold must be non-negative")
         if self.processors_per_node < 1:
             raise ConfigurationError("processors_per_node must be >= 1")
-        if self.replay_backend not in ("event", "compiled", "adaptive"):
+        if self.replay_backend not in ("event", "adaptive"):
             raise ConfigurationError(
-                f"replay_backend must be 'event', 'compiled' or 'adaptive', "
+                f"replay_backend must be 'event' or 'adaptive', "
                 f"got {self.replay_backend!r}")
         if self.max_relative_error < 0:
             raise ConfigurationError("max_relative_error must be non-negative")

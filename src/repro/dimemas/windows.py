@@ -54,7 +54,7 @@ class WindowPlan:
     """The classifier's verdict for one (trace, platform) cell.
 
     ``fast_forward`` is the operative bit: the adaptive engine fast-forwards
-    when it is set and falls back to the exact compiled/event path (with
+    when it is set and falls back to the exact DES rank loop (with
     ``reason`` explaining why) when it is not.  ``proven_exact`` asserts the
     fast-forwarded result is bit-identical to the event backend: every
     window is contention-free, so the closed-form recurrences replicate the

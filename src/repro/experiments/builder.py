@@ -153,13 +153,12 @@ class Experiment:
         return self
 
     def replay_backend(self, backend: str) -> "Experiment":
-        """Select the replay backend (``event``, ``compiled`` or ``adaptive``).
+        """Select the replay backend (``event`` or ``adaptive``).
 
-        ``event`` and ``compiled`` are bit-identical; ``compiled``
-        batch-advances contention-free stretches for wall-time speed.
-        ``adaptive`` fast-forwards contention-free windows in closed form
-        and approximates contended ones within
-        :meth:`max_relative_error` (proven-exact cells stay bit-identical).
+        ``event`` is the exact DES oracle.  ``adaptive`` fast-forwards
+        contention-free windows in closed form and approximates contended
+        ones within :meth:`max_relative_error` (proven-exact cells stay
+        bit-identical).
         """
         return self.platform(replay_backend=backend)
 
@@ -168,7 +167,7 @@ class Experiment:
 
         ``0.0`` forbids approximate fast-forwarding entirely: cells with
         contended windows fall back to the exact DES path.  Ignored by the
-        exact backends.
+        ``event`` backend.
         """
         return self.platform(max_relative_error=bound)
 

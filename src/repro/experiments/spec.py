@@ -26,6 +26,7 @@ from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
 from repro.dimemas.collectives import CollectiveSpec
 from repro.dimemas.config import PLATFORM_FIELDS
+from repro.dimemas.platform import Platform
 from repro.dimemas.topology import TopologySpec
 from repro.errors import ConfigurationError
 from repro.experiments import _toml
@@ -209,10 +210,19 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"unknown platform field {key!r} "
                     f"(known: {sorted(PLATFORM_FIELDS)})")
+        self._validate_platform()
         self._validate_chunking()
         if self.jobs < 0:
             raise ConfigurationError(
                 f"jobs must be >= 1 (or 0 for all cores), got {self.jobs!r}")
+
+    def _validate_platform(self) -> None:
+        # Build the base platform now so a bad override value fails when
+        # the spec is loaded, not midway through run_experiment.
+        try:
+            Platform(**self.platform_dict())
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"[platform]: {exc}") from None
 
     def _validate_chunking(self) -> None:
         if not self.chunking:

@@ -29,11 +29,6 @@ OP_SEND = 1
 OP_RECV = 2
 OP_WAIT = 3
 OP_COLLECTIVE = 4
-#: A fused segment: a maximal run of consecutive CPU bursts (plus the MPI
-#: overhead charge of the record that follows the run, when one exists)
-#: collapsed into one array-backed unit the compiled replay backend
-#: advances with a single timeout (see :class:`FusedSegment`).
-OP_FUSED = 5
 #: Records of a type the replay engine does not know (surface at replay).
 OP_UNKNOWN = -1
 
@@ -47,38 +42,6 @@ RECORD_OPCODES: Dict[type, int] = {
 }
 
 
-class FusedSegment:
-    """A maximal run of conflict-free records compiled to plain arrays.
-
-    The compiled replay backend advances a whole segment with **one**
-    timeout: ``instructions`` holds the per-burst instruction counts in
-    record order (the replay walks ``t = t + instructions / denominator``
-    per entry, exactly the float-expression order of the per-record loop,
-    so the wake-up instant and the accumulated ``compute_time`` stay
-    bit-identical); ``trailing_overhead`` records whether a non-CPU record
-    follows the run, in which case its ``mpi_overhead`` charge (when the
-    platform charges one) is folded into the same timeout and the follower
-    entry carries ``overhead_folded=True``.
-
-    ``start``/``end`` are the original record positions covered by the
-    bursts (half-open), kept for progress/deadlock reporting.
-    """
-
-    __slots__ = ("instructions", "start", "end", "trailing_overhead")
-
-    def __init__(self, instructions: Tuple[float, ...], start: int, end: int,
-                 trailing_overhead: bool):
-        self.instructions = instructions
-        self.start = start
-        self.end = end
-        self.trailing_overhead = trailing_overhead
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FusedSegment(records={self.start}..{self.end}, "
-                f"bursts={len(self.instructions)}, "
-                f"trailing_overhead={self.trailing_overhead})")
-
-
 @dataclass
 class PreparedTrace:
     """A trace normalised for replay: opcode-tagged record streams.
@@ -88,11 +51,6 @@ class PreparedTrace:
     :class:`Trace` object and cached (:meth:`Trace.prepared`), so a sweep
     that replays the same trace on dozens of platforms normalises it once
     instead of once per task.
-
-    :meth:`fused_ops` additionally compiles the segment-fused form used by
-    the ``compiled`` replay backend; it is built lazily (the default
-    ``event`` backend never pays for it) and cached on the instance, so it
-    is shared through the same digest-keyed memo as the plain streams.
     """
 
     ops: List[List[Tuple[int, Record]]]
@@ -104,59 +62,6 @@ class PreparedTrace:
                 for record in rank_trace.records]
                for rank_trace in trace.ranks]
         return cls(ops=ops)
-
-    # -- segment fusion ----------------------------------------------------
-    def fused_ops(self) -> List[List[Tuple[int, Any, int, bool]]]:
-        """The segment-fused entry streams of every rank, built lazily.
-
-        Entries are uniform 4-tuples ``(opcode, payload, position,
-        overhead_folded)``: ``payload`` is the original record (or the
-        :class:`FusedSegment` for ``OP_FUSED``), ``position`` the original
-        record index (segment start for fused entries), and
-        ``overhead_folded`` marks a record whose MPI-overhead charge the
-        preceding segment already accounted for.
-        """
-        fused = getattr(self, "_fused", None)
-        if fused is None:
-            fused = [_fuse_rank_ops(rank_ops) for rank_ops in self.ops]
-            self._fused = fused
-        return fused
-
-
-def _fuse_rank_ops(rank_ops) -> List[Tuple[int, Any, int, bool]]:
-    """Collapse maximal runs of CPU bursts of one rank into fused segments.
-
-    Only ``OP_CPU`` records can be fused: they have no cross-rank side
-    effects, so (absent CPU contention, which the replay engine checks
-    before selecting this stream) their wake-up instants are a pure local
-    computation.  The record following a run is emitted with
-    ``overhead_folded=True`` so its per-call MPI overhead rides on the
-    segment's single timeout instead of a second one.
-    """
-    entries: List[Tuple[int, Any, int, bool]] = []
-    index = 0
-    total = len(rank_ops)
-    while index < total:
-        op, record = rank_ops[index]
-        if op != OP_CPU:
-            entries.append((op, record, index, False))
-            index += 1
-            continue
-        run_end = index + 1
-        while run_end < total and rank_ops[run_end][0] == OP_CPU:
-            run_end += 1
-        trailing = run_end < total
-        segment = FusedSegment(
-            instructions=tuple(rank_ops[k][1].instructions
-                               for k in range(index, run_end)),
-            start=index, end=run_end, trailing_overhead=trailing)
-        entries.append((OP_FUSED, segment, index, False))
-        if trailing:
-            next_op, next_record = rank_ops[run_end]
-            entries.append((next_op, next_record, run_end, True))
-            run_end += 1
-        index = run_end
-    return entries
 
 
 # -- digest-keyed preparation sharing ------------------------------------------

@@ -4,7 +4,7 @@ The adaptive backend (``replay_backend="adaptive"``) classifies a cell's
 replay into windows, fast-forwards the contention-free ones with
 closed-form per-rank time recurrences and enters the event queue only
 where contention forces real interleaving.  Its contract is weaker than
-the compiled backend's bit-identity, and these tests pin exactly that
+bit-identity with the event backend, and these tests pin exactly that
 contract:
 
 * every cell's total time is within the configured

@@ -92,6 +92,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="platform field"):
             ExperimentSpec(apps=("a",), platform={"warp_factor": 9})
 
+    def test_bad_platform_value_rejected_when_built(self):
+        with pytest.raises(ConfigurationError,
+                           match="'event' or 'adaptive', got 'bogus'"):
+            ExperimentSpec(apps=("a",), platform={"replay_backend": "bogus"})
+        with pytest.raises(ConfigurationError, match="latencies"):
+            ExperimentSpec(apps=("a",), platform={"latency": -1.0})
+        with pytest.raises(ConfigurationError, match=r"\[platform\]"):
+            ExperimentSpec(apps=("a",), platform={"latency": "fast"})
+
     def test_chunking_validation(self):
         with pytest.raises(ConfigurationError, match="policy"):
             ExperimentSpec(apps=("a",), chunking={"count": 4})
@@ -220,6 +229,19 @@ class TestUnknownKeys:
         text = "[experiment]\napps = [\"a\"]\n[platform]\nwarp = 9\n"
         with pytest.raises(ConfigurationError, match="platform field"):
             ExperimentSpec.from_toml(text)
+
+    def test_bad_platform_value_via_file(self):
+        # A spec saved before the compiled backend was retired must fail
+        # on load, naming the backends that remain.
+        text = ("[experiment]\napps = [\"a\"]\n"
+                "[platform]\nreplay_backend = \"compiled\"\n")
+        with pytest.raises(ConfigurationError,
+                           match="'event' or 'adaptive', got 'compiled'"):
+            ExperimentSpec.from_toml(text)
+        with pytest.raises(ConfigurationError, match="'event' or 'adaptive'"):
+            ExperimentSpec.from_json(
+                '{"experiment": {"apps": ["a"]},'
+                ' "platform": {"replay_backend": "compiled"}}')
 
     def test_invalid_toml_reported(self):
         with pytest.raises(ConfigurationError, match="invalid TOML"):

@@ -138,6 +138,14 @@ class TestCliTopologies:
             main(["simulate", "--trace", "whatever.json", "--topology", "mesh"])
         assert "topology" in capsys.readouterr().err
 
+    def test_retired_replay_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--app", "sancho-loop", "--replay-backend",
+                  "compiled"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'compiled'" in err and "'event', 'adaptive'" in err
+
 
 class TestCliOverlapValidation:
     def test_overlap_with_none_mechanism_is_a_clear_error(self, tmp_path, capsys):
