@@ -8,14 +8,14 @@ Runs the same bandwidth-sweep experiment three ways --
   everywhere, every result written through); and
 * **warm cache**: the same store again (every cell served from disk);
 
--- and reports wall time, the number of simulations actually executed and
-the store's size on disk.  The run self-checks the subsystem's contract:
-the three executions must produce identical scalar rows, the cold pass must
-simulate exactly once per cell, the warm pass must simulate *nothing* and
-must beat the no-cache wall time by at least ``--min-speedup`` (exit 1
-otherwise).  With ``--output`` the numbers are written as JSON
-(``BENCH_result_cache.json`` is the committed snapshot; CI smoke-runs this
-script and uploads the file as a build artifact).
+-- and reports wall time, the number of apps traced and simulations
+actually executed, and the store's size on disk.  The run self-checks the
+subsystem's contract: the three executions must produce identical scalar
+rows, the cold pass must simulate exactly once per cell, the warm pass must
+trace and simulate *nothing* and must beat the no-cache wall time by at
+least ``--min-speedup`` (exit 1 otherwise).  With ``--output`` the numbers
+are written as JSON (``BENCH_result_cache.json`` is the committed snapshot;
+CI smoke-runs this script and uploads the file as a build artifact).
 
 Usage::
 
@@ -45,6 +45,7 @@ from _provenance import provenance  # noqa: E402
 from repro._version import __version__
 from repro.core import executor as executor_module
 from repro.core.analysis import geometric_bandwidths
+from repro.core.environment import OverlapStudyEnvironment
 from repro.core.reporting import format_table
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.store import FileResultStore
@@ -92,15 +93,23 @@ def main(argv=None) -> int:
 
     # Count the simulations that actually execute (serial replays run in
     # this process; with --jobs > 1 the count only covers the parent, so
-    # the simulate-nothing check still holds for the warm pass).
+    # the simulate-nothing check still holds for the warm pass) and the
+    # apps traced (always in this process).
     simulations = []
+    traces = []
     original_simulate = executor_module._simulate
+    original_trace = OverlapStudyEnvironment.trace
 
     def counting(task, trace, simulator, **kwargs):
         simulations.append(task.index)
         return original_simulate(task, trace, simulator, **kwargs)
 
+    def counting_trace(environment, app):
+        traces.append(app.name)
+        return original_trace(environment, app)
+
     executor_module._simulate = counting
+    OverlapStudyEnvironment.trace = counting_trace
     try:
         passes = []
         results = {}
@@ -109,6 +118,7 @@ def main(argv=None) -> int:
                 ("cold cache", FileResultStore(cache_dir)),
                 ("warm cache", FileResultStore(cache_dir))):
             simulations.clear()
+            traces.clear()
             start = time.perf_counter()
             results[name] = run_experiment(spec, store=store)
             wall = time.perf_counter() - start
@@ -116,6 +126,7 @@ def main(argv=None) -> int:
             passes.append({
                 "pass": name,
                 "wall_seconds": wall,
+                "traces": len(traces),
                 "simulations": len(simulations),
                 "hits": stats.get("hits", 0) if stats["enabled"] else 0,
                 "store_bytes": (FileResultStore(cache_dir).stats().total_bytes
@@ -123,6 +134,7 @@ def main(argv=None) -> int:
             })
     finally:
         executor_module._simulate = original_simulate
+        OverlapStudyEnvironment.trace = original_trace
         if cleanup:
             shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -137,9 +149,10 @@ def main(argv=None) -> int:
           f"jobs={args.jobs}, {tasks} replay cells")
     print()
     print(format_table(
-        ["pass", "wall (s)", "simulations", "cache hits", "store bytes"],
-        [[p["pass"], f"{p['wall_seconds']:.4f}", p["simulations"],
-          p["hits"], p["store_bytes"]] for p in passes],
+        ["pass", "wall (s)", "traces", "simulations", "cache hits",
+         "store bytes"],
+        [[p["pass"], f"{p['wall_seconds']:.4f}", p["traces"],
+          p["simulations"], p["hits"], p["store_bytes"]] for p in passes],
         title="result store: no-cache vs cold vs warm"))
     print(f"\nwarm-over-no-cache wall-time speedup: {warm_speedup:.1f}x")
 
@@ -151,6 +164,8 @@ def main(argv=None) -> int:
     if args.jobs == 1 and cold["simulations"] != tasks:
         failures.append(f"cold pass simulated {cold['simulations']} of "
                         f"{tasks} cells")
+    if warm["traces"] != 0:
+        failures.append(f"warm pass traced {warm['traces']} app(s)")
     if warm["simulations"] != 0:
         failures.append(f"warm pass simulated {warm['simulations']} cell(s)")
     if warm["hits"] != tasks:
@@ -187,8 +202,8 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"SELF-CHECK FAILED: {failure}", file=sys.stderr)
         return 1
-    print("\nself-check passed: identical rows, zero warm simulations, "
-          f"warm wall time >= {args.min_speedup:g}x faster")
+    print("\nself-check passed: identical rows, zero warm traces and "
+          f"simulations, warm wall time >= {args.min_speedup:g}x faster")
     return 0
 
 

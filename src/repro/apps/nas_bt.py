@@ -47,6 +47,7 @@ class NasBT(ApplicationModel):
             "face_bytes": self.face_bytes,
             "instructions_per_phase": self.instructions_per_phase,
             "phases_per_iteration": self.phases_per_iteration,
+            "norm_interval": self.norm_interval,
             "grid": self.topology.dims,
         })
         return info

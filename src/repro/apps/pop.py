@@ -49,6 +49,7 @@ class Pop(ApplicationModel):
             "baroclinic_instructions": self.baroclinic_instructions,
             "barotropic_steps": self.barotropic_steps,
             "barotropic_halo_bytes": self.barotropic_halo_bytes,
+            "barotropic_instructions": self.barotropic_instructions,
             "grid": self.topology.dims,
         })
         return info

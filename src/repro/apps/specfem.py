@@ -44,6 +44,7 @@ class Specfem(ApplicationModel):
         info.update({
             "boundary_bytes": self.boundary_bytes,
             "instructions_per_iteration": self.instructions_per_iteration,
+            "seismogram_interval": self.seismogram_interval,
             "grid": self.topology.dims,
         })
         return info

@@ -303,7 +303,7 @@ def _init_worker(table: Dict[str, Dict[str, Any]],
     _CACHE_KEYS = cache_keys or {}
     if facts:
         # Window-classification facts the parent already proved, keyed by
-        # content digest: seeding them means no worker re-runs the
+        # trace identity: seeding them means no worker re-runs the
         # symbolic matchability proof for a trace the parent classified.
         seed_facts(facts)
 
@@ -313,10 +313,10 @@ def _worker_trace(key: str) -> Trace:
     if trace is None:
         serialized = _lookup_trace(_TRACE_TABLE, key)
         trace = Trace.from_dict(serialized)
-        # Adopt the content digest the parent already computed (store-backed
-        # runs ship it): preparation is then shared by content, so a worker
-        # that sees the same trace content again -- under another variant
-        # key or across resumed sweeps -- never recompiles it.
+        # Adopt the identity the parent already knows (store-backed runs
+        # ship it): preparation is then shared by identity, so a worker
+        # that sees the same trace again -- under another variant key or
+        # across resumed sweeps -- never recompiles it.
         digest = _TRACE_DIGESTS.get(key)
         if digest is not None:
             trace.adopt_digest(digest)
@@ -468,10 +468,12 @@ class SweepExecutor:
         if self.jobs == 1 or len(units) <= 1:
             # Warm the preparation cache up front so the first task of a
             # variant is not charged for the normalisation of all of them.
-            # Store-backed runs hash the content first: the digest-keyed
-            # memo then shares one compiled stream across every Trace
-            # object with equal content, so a resumed or repeated sweep in
-            # the same process never recompiles a trace it has seen.
+            # Store-backed runs pin each trace's identity first (free for
+            # plan-built traces, which adopted a derivation id; others hash
+            # their content): the identity-keyed memo then shares one
+            # compiled stream across every Trace object with that identity,
+            # so a resumed or repeated sweep in the same process never
+            # recompiles a trace it has seen.
             for task in flat_tasks:
                 trace = _lookup_trace(traces, task.trace_key)
                 if store is not None:

@@ -94,7 +94,8 @@ class _TraceFacts:
         self.message_sizes = message_sizes
 
 
-#: Facts keyed by (trace content digest, eager threshold, ranks per node).
+#: Facts keyed by (trace identity, eager threshold, ranks per node); the
+#: identity is :meth:`Trace.digest`, a content digest or a derivation id.
 #: Bounded like the prepared-trace memo: a hit is a fast path, never a
 #: correctness dependency.
 _FACTS_MEMO: Dict[Tuple[str, int, int], _TraceFacts] = {}

@@ -9,10 +9,12 @@ even tracing anything**, and the resulting :class:`ExperimentPlan` can then
 * address every task with a content-addressed :class:`~repro.store.keys.CellKey`
   (:meth:`ExperimentPlan.cell_keys`) so a result store can be consulted
   before execution, and
-* materialise traces *lazily* (:meth:`ExperimentPlan.traces_for`): the
-  original trace of an app is only produced when some task needs its digest
-  or its replay, and an overlapped variant is only transformed when at
-  least one of its cells actually misses the cache -- a fully warm run
+* materialise traces *lazily* (:meth:`ExperimentPlan.traces_for`): an app
+  built from the spec is addressed by its derivation (registered name plus
+  options, see :func:`~repro.store.keys.derivation_id`), so its original
+  trace is only produced when some task needs its replay, and an
+  overlapped variant is only transformed when at least one of its cells
+  actually misses the cache -- a fully warm run traces nothing and
   performs zero overlap transformations and zero replays.
 
 Grid expansion order is part of the contract (collective model outermost,
@@ -36,7 +38,7 @@ from repro.dimemas.platform import Platform
 from repro.errors import AnalysisError
 from repro.experiments.result import CellDims
 from repro.experiments.spec import ExperimentSpec
-from repro.store.keys import CellKey, variant_id
+from repro.store.keys import CellKey, derivation_id, variant_id
 from repro.tracing.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,18 +100,25 @@ def build_environment(spec: ExperimentSpec) -> "OverlapStudyEnvironment":
                                    chunking=build_chunking(spec))
 
 
-def create_apps(spec: ExperimentSpec) -> List[Tuple[str, "ApplicationModel"]]:
-    """Instantiate the spec's apps (seed-expanded) as ``(label, app)`` pairs."""
+def _expand_apps(spec: ExperimentSpec
+                 ) -> List[Tuple[str, str, Dict[str, object]]]:
+    """The spec's apps, seed-expanded, as ``(label, name, options)``."""
     options = spec.app_options_dict()
-    pairs: List[Tuple[str, "ApplicationModel"]] = []
+    expanded: List[Tuple[str, str, Dict[str, object]]] = []
     for name in spec.apps:
         if spec.seeds:
             for seed in spec.seeds:
-                pairs.append((f"{name}@seed={seed}",
-                              _create(name, dict(options, seed=seed))))
+                expanded.append((f"{name}@seed={seed}", name,
+                                 dict(options, seed=seed)))
         else:
-            pairs.append((name, _create(name, options)))
-    return pairs
+            expanded.append((name, name, options))
+    return expanded
+
+
+def create_apps(spec: ExperimentSpec) -> List[Tuple[str, "ApplicationModel"]]:
+    """Instantiate the spec's apps (seed-expanded) as ``(label, app)`` pairs."""
+    return [(label, _create(name, options))
+            for label, name, options in _expand_apps(spec)]
 
 
 def _create(name: str, options: Dict[str, object]) -> "ApplicationModel":
@@ -186,8 +195,13 @@ class ExperimentPlan:
 
     Holds the expanded task list plus *lazy* trace materialisation: apps are
     traced on first use and overlapped variants transformed on first use, so
-    consulting the result store (which only needs original-trace digests)
-    never pays for transformations whose cells are fully cached.
+    consulting the result store never pays for tracing or transformations
+    whose cells are fully cached.
+
+    ``trace_ids`` maps each app label to the derivation id of its original
+    trace.  It is only filled when both the apps and the environment were
+    built from the spec; injected apps or environments have no declarative
+    derivation, so their traces are addressed by content digest instead.
     """
 
     spec: ExperimentSpec
@@ -200,6 +214,7 @@ class ExperimentPlan:
     flat_platforms: List[Platform]
     points_per_cell: int
     tasks: List[SweepTask]
+    trace_ids: Dict[str, str] = field(default_factory=dict)
     _apps_by_label: Dict[str, "ApplicationModel"] = field(default_factory=dict)
     _plans_by_label: Dict[str, VariantPlan] = field(default_factory=dict)
     _original_traces: Dict[str, Trace] = field(default_factory=dict)
@@ -229,6 +244,13 @@ class ExperimentPlan:
                 raise AnalysisError(
                     f"plan has no application {app_label!r}") from None
             trace = self.environment.trace(app)
+            trace_id = self.trace_ids.get(app_label)
+            if trace_id is not None:
+                # Adopt the identity before lint, cohort grouping or the
+                # executor see the trace, so every identity-keyed memo
+                # (prepared streams, window facts) hits across runs and
+                # nothing ever hashes the content.
+                trace.adopt_digest(trace_id)
             self._original_traces[app_label] = trace
             self._overlapped_traces.setdefault(app_label, {})
         return trace
@@ -249,6 +271,10 @@ class ExperimentPlan:
                 f"(known: {sorted(self._plans_by_label)})") from None
         overlapped = self.environment.overlap(
             original, pattern=plan.pattern, mechanism=plan.mechanism)
+        original_id = self.trace_ids.get(app_label)
+        if original_id is not None:
+            overlapped.adopt_digest(derivation_id(
+                original=original_id, variant=self.variant_ids()[variant]))
         self._overlapped_traces[app_label][variant] = overlapped
         return overlapped
 
@@ -291,12 +317,14 @@ class ExperimentPlan:
     def cell_keys(self, salt: Optional[str] = None) -> List[CellKey]:
         """One :class:`CellKey` per task, index-aligned with ``self.tasks``.
 
-        Needs the original trace of every app (for its content digest) but
-        no overlapped variant: the key addresses the variant by its
-        derivation, so a warm lookup never runs the overlap transformation.
+        Keys address each variant by its derivation and the original trace
+        by its derivation id (``trace_ids``), so a warm lookup of a
+        spec-built plan neither traces an app nor runs the overlap
+        transformation.  Injected apps are traced for their content digest.
         """
         ids = self.variant_ids()
-        digests = {label: self.original_trace(label).digest()
+        digests = {label: self.trace_ids.get(label)
+                   or self.original_trace(label).digest()
                    for label in self.app_labels}
         keys: List[CellKey] = []
         for task in self.tasks:
@@ -400,15 +428,26 @@ def plan_experiment(spec: ExperimentSpec,
 
     ``environment``, ``platform`` and ``apps`` are the same injection points
     :func:`~repro.experiments.runner.run_experiment` exposes for the legacy
-    adapters; when omitted, everything is built from the spec.
+    adapters; when omitted, everything is built from the spec.  Only when
+    both the apps and the environment come from the spec does the plan
+    address original traces by derivation id (``trace_ids``).
     """
     plans = variant_plans(spec)
+    derived = apps is None and environment is None
     if environment is None:
         environment = build_environment(spec)
     base_platform = platform or environment.platform
 
-    app_pairs = ([(app.name, app) for app in apps]
-                 if apps is not None else create_apps(spec))
+    trace_ids: Dict[str, str] = {}
+    if apps is not None:
+        app_pairs = [(app.name, app) for app in apps]
+    else:
+        expanded = _expand_apps(spec)
+        app_pairs = [(label, _create(name, options))
+                     for label, name, options in expanded]
+        if derived:
+            trace_ids = {label: derivation_id(app=name, options=options)
+                         for label, name, options in expanded}
     labels = [label for label, _ in app_pairs]
     if len(set(labels)) != len(labels):
         raise AnalysisError(f"duplicate application names in batch: {labels}")
@@ -439,4 +478,5 @@ def plan_experiment(spec: ExperimentSpec,
         cells=cells,
         flat_platforms=flat_platforms,
         points_per_cell=points_per_cell,
-        tasks=tasks)
+        tasks=tasks,
+        trace_ids=trace_ids)

@@ -168,11 +168,12 @@ def preview_experiment(spec: ExperimentSpec,
                        ) -> ExperimentPreview:
     """Plan ``spec`` and report per-task cache status without simulating.
 
-    Traces the apps (their content digests feed the keys) but never runs
-    an overlap transformation or a replay.  With ``precheck`` (the default)
-    the already-materialised original traces are additionally run through
-    the static analyzer at every eager threshold of the grid, so the dry
-    run reports diagnostic counts next to the cache stats.
+    Never runs an overlap transformation or a replay, and keys spec-built
+    apps by derivation without tracing them (injected apps are traced for
+    their content digests).  With ``precheck`` (the default) the original
+    traces are additionally run through the static analyzer at every eager
+    threshold of the grid, so the dry run reports diagnostic counts next to
+    the cache stats.
     """
     store = _resolve_store(store, cache_dir)
     plan = plan_experiment(spec, environment=environment, platform=platform,

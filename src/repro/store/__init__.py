@@ -5,7 +5,7 @@ derivation, platform point); this package exploits that purity with a
 durable cache:
 
 * :mod:`repro.store.keys` -- :class:`CellKey`, the stable SHA-256 address of
-  one replay cell (prepared-trace digest + variant derivation + serialized
+  one replay cell (original-trace identity + variant derivation + serialized
   platform point + simulator version salt);
 * :mod:`repro.store.base` -- the :class:`ResultStore` interface and
   :class:`StoreStats`;
@@ -27,6 +27,7 @@ from repro.store.keys import (
     ORIGINAL_VARIANT,
     STORE_FORMAT,
     CellKey,
+    derivation_id,
     platform_fingerprint,
     simulator_salt,
     variant_id,
@@ -39,6 +40,7 @@ __all__ = [
     "ResultStore",
     "STORE_FORMAT",
     "StoreStats",
+    "derivation_id",
     "open_store",
     "platform_fingerprint",
     "simulator_salt",

@@ -5,8 +5,15 @@ specified platform point.  PR 3 made every cell a pure function of its
 inputs, so a cell's result can be addressed by a stable digest of exactly
 those inputs:
 
-* the digest of the *original* application trace's prepared record stream
-  (:meth:`repro.tracing.trace.Trace.digest` -- content, not object identity);
+* the identity of the *original* application trace
+  (:meth:`repro.tracing.trace.Trace.digest`): for an app built from an
+  experiment spec, its :func:`derivation_id` -- the registered app name and
+  the app options exactly as the spec gives them -- so a warm lookup never
+  traces the app; for an injected app (no declarative derivation), the
+  digest of its prepared record stream (content, not object identity).
+  Tracing is deterministic, so the derivation pins the content -- which is
+  why any edit that changes an app model's trace output must bump
+  :data:`STORE_FORMAT`;
 * the canonical *variant derivation*: ``original``, or the (pattern,
   mechanism, chunking-policy) triple that produced the overlapped trace.
   Keying the derivation instead of the overlapped stream lets a fully
@@ -45,6 +52,10 @@ STORE_FORMAT = 2
 
 #: Canonical variant id of the non-overlapped execution.
 ORIGINAL_VARIANT = "original"
+
+#: Namespace mixed into every :func:`derivation_id` payload.  A content
+#: digest hashes a payload without it, so the two can never coincide.
+DERIVATION_NAMESPACE = "repro.trace-derivation/1"
 
 
 def simulator_salt() -> str:
@@ -99,6 +110,19 @@ def variant_id(pattern: Optional[str] = None, mechanism: Optional[str] = None,
             f"chunking={chunking or 'default'}")
 
 
+def derivation_id(**parts: Any) -> str:
+    """A trace identity derived from how the trace is built, not its content.
+
+    The SHA-256 of the canonical JSON of ``parts`` under
+    :data:`DERIVATION_NAMESPACE`.  Experiment plans address an original
+    trace by ``derivation_id(app=name, options=options)`` and an overlapped
+    variant by ``derivation_id(original=original_id, variant=variant_id)``,
+    so equal derivations share an identity without anything being traced.
+    """
+    payload = {"namespace": DERIVATION_NAMESPACE, **parts}
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class CellKey:
     """The content address of one replay cell.
@@ -114,7 +138,7 @@ class CellKey:
     @classmethod
     def compute(cls, trace_digest: str, platform: Platform, variant: str,
                 salt: Optional[str] = None) -> "CellKey":
-        """Derive the key of (trace content, variant derivation, platform)."""
+        """Derive the key of (trace identity, variant derivation, platform)."""
         payload = {
             "salt": salt if salt is not None else simulator_salt(),
             "trace": trace_digest,

@@ -65,13 +65,13 @@ class PreparedTrace:
 
 
 # -- digest-keyed preparation sharing ------------------------------------------
-# Compiled record streams shared *by content* across Trace objects.  A sweep
-# worker (or a long-running experiment process) that deserialises the same
-# trace content repeatedly -- one Trace object per run -- reuses the compiled
-# stream instead of recompiling it, as long as the content digest is known
-# (either computed via :meth:`Trace.digest` or adopted from the producer of
-# the serialized form via :meth:`Trace.adopt_digest`).  Records are never
-# mutated after construction, so sharing by content is safe.
+# Compiled record streams shared *by identity* across Trace objects.  A sweep
+# worker (or a long-running experiment process) that builds or deserialises
+# the same trace content repeatedly -- one Trace object per run -- reuses the
+# compiled stream instead of recompiling it, as long as the identity is known
+# (a content digest computed via :meth:`Trace.digest`, or a digest or
+# derivation id adopted via :meth:`Trace.adopt_digest`).  Records are never
+# mutated after construction, so sharing by identity is safe.
 _PREPARED_BY_DIGEST: Dict[str, PreparedTrace] = {}
 
 #: Cap on the shared-preparation memo; a long-running service replaying many
@@ -218,17 +218,18 @@ class Trace:
 
     # -- content addressing --------------------------------------------------
     def digest(self) -> str:
-        """A stable SHA-256 digest of the replay-relevant trace content.
+        """The trace's identity: its content digest or an adopted one.
 
-        Computed from the canonical serialisation of the prepared record
-        stream plus the trace's MIPS rate -- the two inputs that fully
-        determine replay results -- and *not* from ``metadata`` (labels,
-        provenance) or object identity: two traces with equal records hash
-        equally no matter how they were built.  The digest is cached on the
-        instance, and computing it registers this trace's compiled record
-        stream in a process-wide content-keyed memo, so later objects with
-        the same content (e.g. re-deserialised sweep variants) skip
-        recompilation (see :meth:`adopt_digest`).
+        Unless an identity was adopted (:meth:`adopt_digest`), this is a
+        stable SHA-256 digest of the replay-relevant content, computed from
+        the canonical serialisation of the prepared record stream plus the
+        trace's MIPS rate -- the two inputs that fully determine replay
+        results -- and *not* from ``metadata`` (labels, provenance) or
+        object identity: two traces with equal records hash equally no
+        matter how they were built.  The identity is cached on the instance,
+        and computing it registers this trace's compiled record stream in a
+        process-wide identity-keyed memo, so later objects with the same
+        content (e.g. re-deserialised sweep variants) skip recompilation.
         """
         digest = getattr(self, "_digest", None)
         if digest is None:
@@ -244,14 +245,18 @@ class Trace:
         return digest
 
     def adopt_digest(self, digest: str) -> "Trace":
-        """Adopt a digest computed by the producer of this trace's content.
+        """Adopt an identity instead of hashing this trace's content.
 
-        Sweep workers receive serialized traces whose digest the parent
-        process already computed; adopting it (instead of re-hashing) lets
-        :meth:`prepared` reuse a content-identical compiled stream and makes
-        the later :meth:`digest` call free.  The caller asserts the digest
-        matches the content -- adopt only digests produced by
-        :meth:`digest` on an equal trace.
+        The identity is either a content digest computed by the producer of
+        this trace (sweep workers receive serialized traces whose digest the
+        parent already knows) or a derivation id
+        (:func:`repro.store.keys.derivation_id`) that an experiment plan
+        assigns to a trace it builds from a spec.  Adopting it lets
+        :meth:`prepared` and the window-classification memo reuse what an
+        equal trace already computed, and makes :meth:`digest` free.  The
+        caller asserts that equal identities mean equal content -- adopt
+        only :meth:`digest` values of an equal trace, or derivation ids of a
+        deterministic derivation.
         """
         self._digest = digest
         return self

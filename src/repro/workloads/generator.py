@@ -66,6 +66,8 @@ class RandomExchangeWorkload(ApplicationModel):
         info.update({
             "seed": self.spec.seed,
             "max_message_bytes": self.spec.max_message_bytes,
+            "max_instructions": self.spec.max_instructions,
+            "collective_probability": self.spec.collective_probability,
             "neighbor_count": self.spec.neighbor_count,
         })
         return info

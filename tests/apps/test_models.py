@@ -1,5 +1,8 @@
 """Tests shared by all application models."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.apps import (
@@ -19,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.mpi.validation import MatchingValidator
 from repro.tracing import TracingVirtualMachine
 from repro.tracing.records import RecvRecord, SendRecord
+from repro.workloads.generator import RandomExchangeWorkload, WorkloadSpec
 
 SMALL_MODELS = [
     NasBT(num_ranks=4, iterations=1, face_bytes=50_000, instructions_per_phase=5e5),
@@ -91,6 +95,18 @@ class TestRegistry:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             paper_applications(scale=0.0)
+
+    @pytest.mark.parametrize("name", sorted(APPLICATIONS))
+    def test_describe_names_every_trace_shaping_parameter(self, name):
+        # Trace metadata comes from describe(): two traces that differ in a
+        # constructor argument must not carry identical metadata.
+        app = create_application(name, num_ranks=4, iterations=2)
+        if name == RandomExchangeWorkload.name:
+            parameters = {field.name
+                          for field in dataclasses.fields(WorkloadSpec)}
+        else:
+            parameters = set(inspect.signature(APPLICATIONS[name]).parameters)
+        assert parameters - set(app.describe()) == set()
 
 
 class TestModelValidation:

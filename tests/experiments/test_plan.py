@@ -1,16 +1,22 @@
-"""Experiment planning: keyed task expansion and lazy trace
-materialisation (a warm run must transform and replay nothing)."""
+"""Experiment planning: keyed task expansion, derivation-keyed traces and
+lazy trace materialisation (a warm run must trace, transform and replay
+nothing)."""
 
 import pytest
 
+from repro.apps import SanchoLoop
+from repro.apps.registry import APPLICATIONS
 from repro.core.environment import OverlapStudyEnvironment
+from repro.dimemas import windows
 from repro.experiments import (
     ExperimentSpec,
     plan_experiment,
     preview_experiment,
     run_experiment,
 )
-from repro.store import FileResultStore
+from repro.experiments.plan import build_environment
+from repro.store import CellKey, FileResultStore
+from repro.tracing.trace import Trace
 
 SPEC = ExperimentSpec(
     apps=("sancho-loop",),
@@ -27,6 +33,26 @@ def no_overlap(monkeypatch):
         raise AssertionError("overlap transformation ran")
 
     monkeypatch.setattr(OverlapStudyEnvironment, "overlap", forbidden)
+
+
+def forbid_tracing(monkeypatch):
+    """Make any tracing from here on an error."""
+    def forbidden(self, app):
+        raise AssertionError("tracing ran")
+
+    monkeypatch.setattr(OverlapStudyEnvironment, "trace", forbidden)
+
+
+def stable(result):
+    """Tidy rows minus wall-clock timing (not reproducible across runs)."""
+    return [{key: value for key, value in row.items()
+             if key != "task_seconds"}
+            for row in result.to_rows()]
+
+
+def content_digest(trace):
+    """The content digest of ``trace``, ignoring any adopted identity."""
+    return Trace(ranks=trace.ranks, mips=trace.mips).digest()
 
 
 class TestPlanStructure:
@@ -99,12 +125,142 @@ class TestLazyMaterialisation:
         warm = run_experiment(SPEC, store=store)
         assert warm.to_rows() == cold.to_rows()
 
+    def test_warm_run_traces_nothing(self, tmp_path, monkeypatch):
+        store = FileResultStore(tmp_path)
+        cold = run_experiment(SPEC, store=store)
+        forbid_tracing(monkeypatch)
+        warm = run_experiment(SPEC, store=store)
+        assert warm.cache_stats()["hits"] == len(warm.to_rows())
+        assert stable(warm) == stable(cold)
+
+    def test_cell_keys_trace_nothing(self, monkeypatch):
+        plan = plan_experiment(SPEC)
+        forbid_tracing(monkeypatch)
+        assert len(plan.cell_keys()) == 4
+
+    def test_preview_without_precheck_traces_nothing(self, tmp_path,
+                                                     monkeypatch):
+        forbid_tracing(monkeypatch)
+        preview = preview_experiment(SPEC, store=FileResultStore(tmp_path),
+                                     precheck=False)
+        assert preview.misses == 4
+
     def test_variant_traces_are_transformed_once(self):
         plan = plan_experiment(SPEC)
         assert plan.variant_trace("sancho-loop", "ideal") is \
             plan.variant_trace("sancho-loop", "ideal")
         assert plan.original_trace("sancho-loop") is \
             plan.variant_trace("sancho-loop", "original")
+
+
+class TestDerivationKeys:
+    """Spec-built originals are keyed by (app name, options), injected ones
+    by content."""
+
+    SMALL = {"num_ranks": 4, "iterations": 2}
+
+    def plan_for(self, name, **options):
+        return plan_experiment(ExperimentSpec(
+            apps=(name,), app_options=dict(self.SMALL, **options),
+            bandwidths=(100.0,), patterns=("ideal",)))
+
+    def test_every_registered_app_is_identified_soundly(self):
+        ids, contents = {}, set()
+        for name in sorted(APPLICATIONS):
+            first, second = self.plan_for(name), self.plan_for(name)
+            assert first.trace_ids == second.trace_ids
+            ids[name] = first.trace_ids[name]
+            trace = first.original_trace(name)
+            digest = content_digest(trace)
+            assert digest == content_digest(second.original_trace(name))
+            # The plan adopts the id as the trace's identity at once.
+            assert trace.digest() == ids[name]
+            contents.add(digest)
+        assert len(set(ids.values())) == len(ids)
+        assert contents.isdisjoint(ids.values())
+
+    @pytest.mark.parametrize("change", [
+        {"num_ranks": 6}, {"iterations": 3}, {"message_bytes": 1000},
+        {"instructions_per_iteration": 1.0e5}, {"neighbors_per_rank": 1},
+        {"mips": 500.0}, {"imbalance": 0.1},
+    ])
+    def test_any_option_change_moves_the_id(self, change):
+        assert self.plan_for("sancho-loop", **change).trace_ids != \
+            self.plan_for("sancho-loop").trace_ids
+
+    def test_seed_moves_the_id(self):
+        seeded = plan_experiment(ExperimentSpec(
+            apps=("random-exchange",), app_options=self.SMALL, seeds=(1, 2),
+            bandwidths=(100.0,)))
+        ids = seeded.trace_ids
+        assert ids["random-exchange@seed=1"] != ids["random-exchange@seed=2"]
+        # The seeds axis is the seed option, one value at a time.
+        assert ids["random-exchange@seed=1"] == \
+            self.plan_for("random-exchange", seed=1).trace_ids[
+                "random-exchange"]
+
+    def test_the_platform_grid_does_not_move_the_id(self):
+        other = plan_experiment(ExperimentSpec(
+            apps=SPEC.apps, app_options=SPEC.app_options_dict(),
+            bandwidths=(7.0,), topologies=("torus",),
+            platform={"replay_backend": "adaptive"}))
+        assert other.trace_ids == plan_experiment(SPEC).trace_ids
+
+    def test_variant_identities_derive_from_the_original(self):
+        plan = plan_experiment(SPEC)
+        original = plan.original_trace("sancho-loop").digest()
+        ideal = plan.variant_trace("sancho-loop", "ideal").digest()
+        again = plan_experiment(SPEC).variant_trace("sancho-loop", "ideal")
+        assert ideal == again.digest()
+        assert ideal not in (original, content_digest(again))
+
+    @pytest.mark.parametrize("inject", ["apps", "environment"])
+    def test_injected_plans_keep_content_keys(self, inject):
+        app = SanchoLoop(**SPEC.app_options_dict())
+        injected = ({"apps": [app]} if inject == "apps"
+                    else {"environment": build_environment(SPEC)})
+        plan = plan_experiment(SPEC, **injected)
+        assert plan.trace_ids == {}
+        content = OverlapStudyEnvironment().trace(app).digest()
+        ids = plan.variant_ids()
+        expected = [CellKey.compute(content, task.platform, ids[task.variant])
+                    for task in plan.tasks]
+        assert plan.cell_keys() == expected
+        derived = {key.digest for key in plan_experiment(SPEC).cell_keys()}
+        assert derived.isdisjoint(key.digest for key in expected)
+
+
+class TestIdentityMemos:
+    """Adopted identities let a repeated cold run reuse per-trace work."""
+
+    ADAPTIVE_SPEC = ExperimentSpec(
+        apps=("sancho-loop",),
+        app_options={"num_ranks": 4, "iterations": 2},
+        bandwidths=(50.0, 500.0),
+        eager_thresholds=(16384, 262144),
+        chunking={"policy": "fixed-count", "count": 4},
+        platform={"replay_backend": "adaptive"})
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_second_cold_run_reuses_window_facts(self, tmp_path, monkeypatch,
+                                                 with_store):
+        monkeypatch.setattr(windows, "_FACTS_MEMO", {})
+
+        def cold_store(name):
+            return FileResultStore(tmp_path / name) if with_store else None
+
+        first = run_experiment(self.ADAPTIVE_SPEC, store=cold_store("first"))
+        calls = []
+        compute = windows._compute_facts
+
+        def counting(trace, *args):
+            calls.append(args)
+            return compute(trace, *args)
+
+        monkeypatch.setattr(windows, "_compute_facts", counting)
+        second = run_experiment(self.ADAPTIVE_SPEC, store=cold_store("second"))
+        assert calls == []
+        assert stable(second) == stable(first)
 
 
 class TestPreview:

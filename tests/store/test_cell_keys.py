@@ -7,6 +7,7 @@ from repro.dimemas.platform import Platform
 from repro.store import (
     ORIGINAL_VARIANT,
     CellKey,
+    derivation_id,
     platform_fingerprint,
     simulator_salt,
     variant_id,
@@ -142,3 +143,41 @@ class TestVariantId:
     def test_missing_chunking_defaults(self):
         assert variant_id(pattern="real", mechanism="full").endswith(
             "chunking=default")
+
+
+class TestDerivationId:
+    """Spec-built traces are addressed by how they are built."""
+
+    OPTIONS = {"num_ranks": 4, "iterations": 2, "seed": 7}
+
+    def test_equal_derivations_share_an_id_in_any_option_order(self):
+        reordered = dict(reversed(list(self.OPTIONS.items())))
+        assert derivation_id(app="random-exchange", options=reordered) == \
+            derivation_id(app="random-exchange", options=self.OPTIONS)
+
+    def test_id_is_sha256_hex(self):
+        digest = derivation_id(app="nas-bt", options={})
+        assert len(digest) == 64
+        int(digest, 16)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 8}, {"num_ranks": 8}, {"iterations": 3}, {"mips": 500.0},
+        {"extra": True},
+    ])
+    def test_any_option_change_moves_the_id(self, change):
+        assert derivation_id(app="random-exchange",
+                             options=dict(self.OPTIONS, **change)) != \
+            derivation_id(app="random-exchange", options=self.OPTIONS)
+
+    def test_app_name_moves_the_id(self):
+        assert derivation_id(app="nas-bt", options={}) != \
+            derivation_id(app="nas-cg", options={})
+
+    def test_variant_ids_derive_from_the_original(self):
+        original = derivation_id(app="nas-bt", options={})
+        other = derivation_id(app="nas-cg", options={})
+        ideal = variant_id(pattern="ideal", mechanism="full", chunking="c")
+        real = variant_id(pattern="real", mechanism="full", chunking="c")
+        assert derivation_id(original=original, variant=ideal) not in {
+            original, derivation_id(original=original, variant=real),
+            derivation_id(original=other, variant=ideal)}
