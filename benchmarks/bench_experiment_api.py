@@ -27,7 +27,7 @@ import time
 
 from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.core.analysis import ORIGINAL, geometric_bandwidths
-from repro.core.executor import SweepExecutor
+from repro.core.executor import SweepExecutor, SweepTask
 from repro.core.patterns import ComputationPattern
 from repro.core.reporting import format_table
 from repro.experiments import Experiment, ExperimentSpec, run_experiment
@@ -43,11 +43,18 @@ def _raw_executor_points(app_name, options, bandwidths, jobs):
     variants = {ORIGINAL: original}
     for pattern in (ComputationPattern.REAL, ComputationPattern.IDEAL):
         variants[pattern.value] = environment.overlap(original, pattern=pattern)
+    tasks = []
+    for point, bandwidth in enumerate(bandwidths):
+        platform = environment.platform.with_bandwidth(bandwidth)
+        for variant in variants:
+            tasks.append(SweepTask(
+                index=len(tasks), variant=variant, trace_key=variant,
+                platform=platform, label=f"{app.name}:{variant}@{bandwidth}MBps",
+                point=point))
     executor = SweepExecutor(jobs=jobs)
-    points, _ = executor.run_sweep(variants, environment.platform, bandwidths,
-                                   app_name=app.name,
-                                   simulator=environment.simulator)
-    return points
+    results = executor.execute(tasks, variants,
+                               simulator=environment.simulator)
+    return executor.merge(results)
 
 
 def main(argv=None) -> int:

@@ -22,11 +22,9 @@ import os
 import sys
 import time
 
-from repro.apps import NasBT
-from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.core.analysis import geometric_bandwidths
 from repro.core.reporting import format_table, sweep_table
-from repro.core.sweeps import run_bandwidth_sweep
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 def _identical(serial, parallel) -> bool:
@@ -57,10 +55,13 @@ def main(argv=None) -> int:
                         help="also print the full per-point sweep table")
     args = parser.parse_args(argv)
 
-    app = NasBT(num_ranks=args.ranks, iterations=args.iterations)
     bandwidths = geometric_bandwidths(
         args.min_bandwidth, args.max_bandwidth, args.samples)
-    environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))
+    spec = ExperimentSpec(
+        apps=("nas-bt",),
+        app_options={"num_ranks": args.ranks, "iterations": args.iterations},
+        bandwidths=bandwidths,
+        chunking={"policy": "fixed-count", "count": 8})
 
     print(f"app: nas-bt ({args.ranks} ranks, {args.iterations} iterations), "
           f"{args.samples}-point bandwidth grid, "
@@ -69,8 +70,7 @@ def main(argv=None) -> int:
     runs = {}
     for name, jobs in (("serial", 1), (f"parallel (jobs={args.jobs})", args.jobs)):
         start = time.perf_counter()
-        sweep = run_bandwidth_sweep(app, bandwidths, environment=environment,
-                                    jobs=jobs)
+        sweep = run_experiment(spec.with_jobs(jobs)).sweep()
         runs[name] = (time.perf_counter() - start, sweep)
 
     (serial_name, (serial_wall, serial_sweep)), (parallel_name, (parallel_wall, parallel_sweep)) = runs.items()

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.apps import NasBT
-from repro.core import FixedCountChunking, OverlapStudyEnvironment, run_topology_sweep
 from repro.core.analysis import ORIGINAL, geometric_bandwidths
 from repro.core.reporting import format_table
-from repro.dimemas.topology import TopologySpec
+from repro.experiments import ExperimentSpec, run_experiment
 
 TOPOLOGIES = [
     "flat",
@@ -51,14 +49,20 @@ def main(argv=None) -> int:
 
     bandwidths = geometric_bandwidths(
         args.min_bandwidth, args.max_bandwidth, args.samples)
-    environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))
 
     rows = []
     for topology in TOPOLOGIES:
-        app = NasBT(num_ranks=args.ranks, iterations=args.iterations)
-        key = TopologySpec.parse(topology).to_string()
-        sweep = run_topology_sweep(app, [topology], bandwidths,
-                                   environment=environment, jobs=args.jobs)[key]
+        # One spec per topology, so each row's replay wall time is that
+        # topology's alone.
+        spec = ExperimentSpec(
+            apps=("nas-bt",),
+            app_options={"num_ranks": args.ranks,
+                         "iterations": args.iterations},
+            topologies=(topology,),
+            bandwidths=bandwidths,
+            chunking={"policy": "fixed-count", "count": 8},
+            jobs=args.jobs)
+        sweep = run_experiment(spec).sweep()
         # Replay-only wall time; tracing and the overlap transforms (which
         # are identical per row) are excluded so the column compares what
         # the multi-hop pipeline actually costs.

@@ -13,10 +13,10 @@ from typing import Dict
 import pytest
 
 from repro.apps.registry import PAPER_IDEAL_SPEEDUP_PERCENT, paper_applications
-from repro.core import ComputationPattern, OverlapStudyEnvironment
+from repro.core import OverlapStudyEnvironment
 from repro.core.analysis import BandwidthSweep, geometric_bandwidths
-from repro.core.sweeps import run_bandwidth_sweep
 from repro.dimemas import Platform
+from repro.experiments import ExperimentSpec, run_experiment
 
 #: The reference platform of the study: a realistic 2010-era interconnect.
 REFERENCE_BANDWIDTH_MBPS = 250.0
@@ -55,13 +55,11 @@ def studies(environment, applications):
 @pytest.fixture(scope="session")
 def sweeps(environment, applications) -> Dict[str, BandwidthSweep]:
     """Bandwidth sweeps (original / real / ideal) for every application."""
-    return {
-        name: run_bandwidth_sweep(
-            app, SWEEP_BANDWIDTHS,
-            patterns=(ComputationPattern.REAL, ComputationPattern.IDEAL),
-            environment=environment)
-        for name, app in applications.items()
-    }
+    spec = ExperimentSpec(apps=tuple(applications),
+                          bandwidths=SWEEP_BANDWIDTHS,
+                          patterns=("real", "ideal"))
+    return run_experiment(spec, environment=environment,
+                          apps=list(applications.values())).by_app()
 
 
 def print_banner(title: str) -> None:

@@ -8,25 +8,44 @@ representative stencil code.
 
 import pytest
 
-from benchmarks.conftest import print_banner, reference_platform
-from repro.apps import NasBT
-from repro.core.ablation import chunk_size_ablation, cpu_speed_ablation, eager_threshold_ablation
+from benchmarks.conftest import REFERENCE_BANDWIDTH_MBPS, print_banner
 from repro.core.reporting import format_table
+from repro.experiments import ExperimentSpec, run_experiment
+
+
+def _spec(chunk_bytes=16384, max_chunks=64, **axes):
+    """NAS-BT, ideal pattern, full mechanism on the reference platform."""
+    return ExperimentSpec(
+        apps=("nas-bt",), app_options={"num_ranks": 16, "iterations": 2},
+        patterns=("ideal",),
+        platform={"name": "reference",
+                  "bandwidth_mbps": REFERENCE_BANDWIDTH_MBPS},
+        chunking={"policy": "fixed-size", "chunk_bytes": chunk_bytes,
+                  "max_chunks": max_chunks},
+        **axes)
+
+
+def _axis_speedups(axis, values):
+    """Ideal speedup per value of one platform axis (one spec)."""
+    result = run_experiment(_spec(**{f"{axis}s": values}))
+    return {getattr(cell.dims, axis): cell.sweep.points[0].speedup("ideal")
+            for cell in result.cells}
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_chunk_size_eager_threshold_cpu_speed(benchmark):
-    app = NasBT(num_ranks=16, iterations=2)
-    platform = reference_platform()
-
     def run():
+        # The chunking policy shapes the overlap transform itself, so each
+        # chunk size is its own single-point spec.
+        chunk_size = {
+            size: run_experiment(_spec(chunk_bytes=size, max_chunks=256))
+            .sweep().points[0].speedup("ideal")
+            for size in (4096, 16384, 65536, 262144)}
         return {
-            "chunk_size": chunk_size_ablation(
-                app, chunk_sizes=(4096, 16384, 65536, 262144), platform=platform),
-            "eager_threshold": eager_threshold_ablation(
-                app, thresholds=(0, 16384, 65536, 1 << 20), platform=platform),
-            "cpu_speed": cpu_speed_ablation(
-                app, cpu_speeds=(0.5, 1.0, 2.0, 4.0), platform=platform),
+            "chunk_size": chunk_size,
+            "eager_threshold": _axis_speedups(
+                "eager_threshold", (0, 16384, 65536, 1 << 20)),
+            "cpu_speed": _axis_speedups("cpu_speed", (0.5, 1.0, 2.0, 4.0)),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,8 +11,9 @@ import pytest
 from benchmarks.conftest import print_banner, reference_platform
 from repro.apps import NasBT, SanchoLoop, Sweep3D
 from repro.core import OverlapStudyEnvironment
-from repro.core.sweeps import run_mechanism_sweep
+from repro.core.analysis import ORIGINAL
 from repro.core.reporting import format_table
+from repro.experiments import ExperimentSpec, run_experiment
 
 WORKLOADS = {
     "nas-bt": lambda: NasBT(num_ranks=16, iterations=2),
@@ -25,12 +26,19 @@ WORKLOADS = {
 def test_e6_mechanism_decomposition(benchmark):
     environment = OverlapStudyEnvironment(platform=reference_platform())
 
+    def mechanism_speedups(app):
+        spec = ExperimentSpec(apps=(app.name,), bandwidths=(250.0,),
+                              patterns=("ideal",),
+                              mechanisms=("early-send", "late-receive", "full"))
+        sweep = run_experiment(spec, environment=environment,
+                               apps=[app]).sweep()
+        point = sweep.points[0]
+        return {label: point.speedup(label)
+                for label in sweep.variants if label != ORIGINAL}
+
     def run():
-        return {
-            name: run_mechanism_sweep(factory(), bandwidth_mbps=250.0,
-                                      environment=environment)
-            for name, factory in WORKLOADS.items()
-        }
+        return {name: mechanism_speedups(factory())
+                for name, factory in WORKLOADS.items()}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 

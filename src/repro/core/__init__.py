@@ -12,10 +12,12 @@
   replay and visualisation together (paper Figure 1);
 * :mod:`repro.core.analysis`    -- speedups, bandwidth sweeps, bandwidth
   reduction factors and the Sancho analytical model;
-* :mod:`repro.core.executor`    -- expansion of sweeps into self-contained
-  replay tasks and their (optionally multi-process) execution;
-* :mod:`repro.core.sweeps`      -- parameter-sweep drivers;
+* :mod:`repro.core.executor`    -- (optionally multi-process) execution of
+  self-contained replay tasks and the merge of their results;
 * :mod:`repro.core.study`       -- one-stop study objects and reports.
+
+Experiments (sweeps, studies, ablations) are driven by
+:func:`repro.experiments.run_experiment`.
 """
 
 from repro.core.analysis import (
@@ -31,11 +33,9 @@ from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.overlap import OverlapTransformer
 from repro.core.patterns import ComputationPattern
-from repro.core.study import OverlapStudy, batch_study, run_batch_study
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep, run_topology_sweep
+from repro.core.study import OverlapStudy
 
 __all__ = [
-    "batch_study",
     "BandwidthSweep",
     "Chunk",
     "ChunkingPolicy",
@@ -51,10 +51,6 @@ __all__ = [
     "SweepTask",
     "SweepTaskResult",
     "bandwidth_reduction_factor",
-    "run_bandwidth_sweep",
-    "run_batch_study",
-    "run_mechanism_sweep",
-    "run_topology_sweep",
     "sancho_overlap_bound",
     "speedup",
 ]

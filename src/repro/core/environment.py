@@ -73,13 +73,22 @@ class OverlapStudyEnvironment:
               jobs: Optional[int] = None) -> OverlapStudy:
         """Trace, transform and replay ``app``; return the assembled study.
 
-        A thin wrapper over :func:`repro.core.study.batch_study` for a
-        single application, so every study entry point shares the unified
-        experiment pipeline (including variant-label validation and the
-        ``jobs`` worker pool).
+        Runs one single-point experiment with full results through
+        :func:`repro.experiments.run_experiment`, so a study shares the
+        sweep pipeline (variant-label validation, the ``jobs`` worker pool
+        and this environment's simulator).
         """
-        from repro.core.study import batch_study
-        return batch_study(
-            [app], patterns=patterns, mechanism=mechanism,
-            environment=self, platform=platform or self.platform,
-            jobs=jobs)[app.name]
+        from repro.core.executor import validate_variant_labels
+        from repro.experiments import ExperimentSpec, run_experiment
+
+        patterns = list(patterns)
+        validate_variant_labels(pattern.value for pattern in patterns)
+        spec = ExperimentSpec(
+            apps=(app.name,),
+            patterns=tuple(pattern.value for pattern in patterns),
+            mechanisms=(mechanism.label,),
+            jobs=1 if jobs is None else jobs)
+        result = run_experiment(spec, environment=self,
+                                platform=platform or self.platform,
+                                apps=[app], full_results=True)
+        return result.studies()[app.name]

@@ -5,8 +5,9 @@ replayed on many configurable platforms (bandwidths x patterns x mechanisms
 x applications), and every replay is independent of the others.  The
 :class:`SweepExecutor` exploits that:
 
-1. a sweep is *expanded* into self-contained :class:`SweepTask` units, one
-   per (trace variant, platform point) pair;
+1. a sweep arrives as self-contained :class:`SweepTask` units, one per
+   (trace variant, platform point) pair (expanded from a spec by
+   :func:`repro.experiments.plan.plan_experiment`);
 2. the tasks are *executed* either serially in-process (``jobs=1``, the
    default, so a plain sweep stays deterministic and dependency-free) or
    fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`;
@@ -59,9 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover
 def validate_variant_labels(labels: Iterable[str]) -> List[str]:
     """Reject duplicate variant labels and collisions with ``original``.
 
-    Both sweep drivers key their variant traces by label; a duplicate label
-    (or a label equal to the reserved :data:`ORIGINAL`) would silently
-    clobber an earlier variant and corrupt the sweep.
+    Experiments key their variant traces by label; a duplicate label (or a
+    label equal to the reserved :data:`ORIGINAL`) would silently clobber an
+    earlier variant and corrupt the sweep.
     """
     seen: List[str] = []
     for label in labels:
@@ -371,9 +372,9 @@ def _run_unit_metrics(unit: Union[SweepTask, "CohortTask"]
 class SweepExecutor:
     """Executes sweep tasks serially or on a multi-process worker pool.
 
-    ``jobs=1`` (the default) replays every task in-process, preserving the
-    behaviour of the original serial drivers; ``jobs=N`` fans the tasks out
-    over ``N`` worker processes; ``jobs=0`` uses every available core.
+    ``jobs=1`` (the default) replays every task in-process; ``jobs=N`` fans
+    the tasks out over ``N`` worker processes; ``jobs=0`` uses every
+    available core.
     """
 
     def __init__(self, jobs: Optional[int] = None):
@@ -385,34 +386,6 @@ class SweepExecutor:
             raise ConfigurationError(
                 f"jobs must be >= 1 (or 0 for all cores), got {jobs!r}")
         self.jobs = int(jobs)
-
-    # -- expansion ---------------------------------------------------------
-    @staticmethod
-    def expand(variants: Dict[str, Trace], platforms: Sequence[Platform],
-               app_name: str = "trace") -> List[SweepTask]:
-        """Expand a variant x platform grid into self-contained tasks.
-
-        Expanded tasks are metric-only and run timeline-free (the
-        :class:`SweepTask` default); callers that need recorded timelines
-        execute with ``full_results`` or build tasks with
-        ``collect_timeline=True`` themselves.
-        """
-        tasks: List[SweepTask] = []
-        for point, platform in enumerate(platforms):
-            for variant in variants:
-                label = f"{app_name}:{variant}@{platform.bandwidth_mbps}MBps"
-                if platform.topology.kind != "flat":
-                    label += f"/{platform.topology.kind}"
-                if platform.collective_model.kind != "analytical":
-                    label += f"/{platform.collective_model.kind}"
-                tasks.append(SweepTask(
-                    index=len(tasks),
-                    variant=variant,
-                    trace_key=variant,
-                    platform=platform,
-                    label=label,
-                    point=point))
-        return tasks
 
     # -- execution ---------------------------------------------------------
     def execute(self, tasks: Sequence[Union[SweepTask, CohortTask]],
@@ -584,24 +557,3 @@ class SweepExecutor:
                 network={r.variant: r.network_summary() for r in group}))
         points.sort(key=lambda point: point.bandwidth_mbps)
         return points
-
-    # -- convenience -------------------------------------------------------
-    def run_sweep(self, variants: Dict[str, Trace], base_platform: Platform,
-                  bandwidths_mbps: Sequence[float], app_name: str = "trace",
-                  simulator: Optional[DimemasSimulator] = None
-                  ) -> Tuple[List[SweepPoint], float]:
-        """Replay every variant at every bandwidth and merge the results.
-
-        Returns the bandwidth-ordered sweep points plus the wall-clock time
-        of the replay section (the part the worker pool accelerates).
-        """
-        if ORIGINAL not in variants:
-            raise AnalysisError(
-                f"sweep variants must include the {ORIGINAL!r} trace")
-        platforms = [base_platform.with_bandwidth(bandwidth)
-                     for bandwidth in bandwidths_mbps]
-        tasks = self.expand(variants, platforms, app_name=app_name)
-        start = time.perf_counter()
-        results = self.execute(tasks, variants, simulator=simulator)
-        wall_seconds = time.perf_counter() - start
-        return self.merge(results), wall_seconds

@@ -1,27 +1,20 @@
 """Study objects: the assembled original-versus-overlapped comparison.
 
-:class:`OverlapStudy` remains the one-application report object; the batch
-driver :func:`run_batch_study` is a deprecated adapter over the unified
-experiment API (see :mod:`repro.experiments`)."""
+:class:`OverlapStudy` is the one-application report object; multi-app
+studies come from ``run_experiment(..., full_results=True).studies()``
+(see :mod:`repro.experiments`)."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List
 
-from repro.core.executor import validate_variant_labels
 from repro.core.mechanisms import OverlapMechanism
-from repro.core.patterns import ComputationPattern
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
 from repro.errors import AnalysisError
 from repro.paraver.compare import TimelineComparison, compare_timelines, side_by_side
 from repro.tracing.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.apps.base import ApplicationModel
-    from repro.core.environment import OverlapStudyEnvironment
 
 
 @dataclass
@@ -88,60 +81,3 @@ class OverlapStudy:
                 f"-> speedup {self.speedup(pattern):.3f}x "
                 f"({self.improvement_percent(pattern):+.1f} %)")
         return "\n".join(lines)
-
-
-def run_batch_study(apps: Sequence["ApplicationModel"],
-                    patterns: Iterable[ComputationPattern] = (
-                        ComputationPattern.REAL, ComputationPattern.IDEAL),
-                    mechanism: OverlapMechanism = OverlapMechanism.FULL,
-                    environment: Optional["OverlapStudyEnvironment"] = None,
-                    platform: Optional[Platform] = None,
-                    jobs: Optional[int] = None) -> Dict[str, OverlapStudy]:
-    """Assemble one :class:`OverlapStudy` per application.
-
-    .. deprecated:: build an :class:`~repro.experiments.spec.ExperimentSpec`
-        and call :func:`~repro.experiments.runner.run_experiment` with
-        ``full_results=True``; :meth:`ExperimentResult.studies` returns the
-        same mapping.
-
-    The replays (applications x variants) run as one executor batch (serial
-    with the default ``jobs=1``); results are merged back in application
-    order, so parallel batches match serial ones exactly.
-    """
-    warnings.warn(
-        "run_batch_study is deprecated; build an ExperimentSpec and use "
-        "repro.experiments.run_experiment(..., full_results=True) instead",
-        DeprecationWarning, stacklevel=2)
-    return batch_study(apps, patterns=patterns, mechanism=mechanism,
-                       environment=environment, platform=platform, jobs=jobs)
-
-
-def batch_study(apps: Sequence["ApplicationModel"],
-                patterns: Iterable[ComputationPattern] = (
-                    ComputationPattern.REAL, ComputationPattern.IDEAL),
-                mechanism: OverlapMechanism = OverlapMechanism.FULL,
-                environment: Optional["OverlapStudyEnvironment"] = None,
-                platform: Optional[Platform] = None,
-                jobs: Optional[int] = None) -> Dict[str, OverlapStudy]:
-    """The :func:`run_batch_study` implementation, routed through the runner.
-
-    Also the non-deprecated path :meth:`OverlapStudyEnvironment.study` uses.
-    """
-    from repro.core.environment import OverlapStudyEnvironment
-    from repro.experiments.runner import run_experiment
-    from repro.experiments.spec import ExperimentSpec
-
-    environment = environment or OverlapStudyEnvironment(platform=platform)
-    patterns = list(patterns)
-    validate_variant_labels(pattern.value for pattern in patterns)
-    names = [app.name for app in apps]
-    if len(set(names)) != len(names):
-        raise AnalysisError(f"duplicate application names in batch: {names}")
-    spec = ExperimentSpec(
-        apps=tuple(names),
-        patterns=tuple(pattern.value for pattern in patterns),
-        mechanisms=(mechanism.label,),
-        jobs=1 if jobs is None else jobs)
-    result = run_experiment(spec, environment=environment, platform=platform,
-                            apps=list(apps), full_results=True)
-    return result.studies()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -11,6 +12,11 @@ from repro.errors import ConfigurationError
 
 #: Bytes in a megabyte, used to convert the Dimemas-style MB/s bandwidth.
 MEGABYTE = 1.0e6
+
+#: The float-valued fields; NaN would slip past their range checks.
+FLOAT_FIELDS = ("relative_cpu_speed", "latency", "bandwidth_mbps",
+                "intranode_bandwidth_mbps", "intranode_latency",
+                "mpi_overhead", "max_relative_error")
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,9 @@ class Platform:
             raise ConfigurationError(
                 f"collective_model must be a CollectiveSpec or its string "
                 f"form, got {self.collective_model!r}")
+        for field in FLOAT_FIELDS:
+            if math.isnan(getattr(self, field)):
+                raise ConfigurationError(f"{field} must be a number, got NaN")
         if self.relative_cpu_speed <= 0:
             raise ConfigurationError("relative_cpu_speed must be positive")
         if self.mpi_overhead < 0:

@@ -90,9 +90,9 @@ class TopologySpec:
                 f"(choose from {sorted(TOPOLOGIES)})")
         if self.radix < 2:
             raise ConfigurationError("topology radix must be >= 2")
-        if self.bandwidth_scale <= 0 or self.link_scale <= 0:
+        if not (self.bandwidth_scale > 0 and self.link_scale > 0):
             raise ConfigurationError("topology scale factors must be positive")
-        if self.hop_latency is not None and self.hop_latency < 0:
+        if self.hop_latency is not None and not self.hop_latency >= 0:
             raise ConfigurationError("hop_latency must be non-negative")
         if self.links < 0:
             raise ConfigurationError("links must be >= 0 (0 = unlimited)")

@@ -1,9 +1,7 @@
 """The unified declarative experiment API: one spec, one runner, one result.
 
 The paper's methodology -- trace once, replay on many configurable
-platforms -- used to surface through several parallel driver functions,
-each with its own argument plumbing and return shape.  This package
-replaces them with a single composable entry point:
+platforms -- surfaces through a single composable entry point:
 
 * :class:`~repro.experiments.spec.ExperimentSpec` -- a declarative,
   serializable (JSON/TOML) description of one experiment: the app(s), the
@@ -18,11 +16,6 @@ replaces them with a single composable entry point:
 * :class:`~repro.experiments.result.ExperimentResult` -- the typed result:
   per-cell bandwidth sweeps, tidy row/JSON/CSV exports and accessors the
   :mod:`repro.core.reporting` tables consume directly.
-
-The legacy drivers (``run_bandwidth_sweep``, ``run_topology_sweep``,
-``run_batch_study``, the ablation helpers) remain as thin deprecated
-adapters over this package and stay bit-identical to their historical
-results, ``jobs > 1`` included.
 """
 
 from repro.experiments.builder import Experiment, log_spaced

@@ -19,9 +19,9 @@ even tracing anything**, and the resulting :class:`ExperimentPlan` can then
 
 Grid expansion order is part of the contract (collective model outermost,
 then topology, node mapping, latency, eager threshold, CPU speed, bandwidth
-innermost; variants emitted original-first per platform point): it is what
-keeps the unified API bit-identical to the legacy drivers, and the
-golden-equivalence tests pin it.
+innermost; variants emitted original-first per platform point): the
+golden-equivalence tests pin it against replicas of the pre-redesign sweep
+code.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class VariantPlan:
 def variant_plans(spec: ExperimentSpec) -> List[VariantPlan]:
     """The overlapped variants of a spec, in pattern-major order.
 
-    Labels follow the legacy drivers so existing reports keep working: with
-    a single mechanism the label is the pattern value (bandwidth sweeps),
+    With a single mechanism the label is the pattern value (bandwidth sweeps),
     with a single pattern and several mechanisms it is the mechanism label
     (mechanism sweeps), and with both axes swept it is ``pattern+mechanism``.
     """
@@ -113,12 +112,6 @@ def _expand_apps(spec: ExperimentSpec
         else:
             expanded.append((name, name, options))
     return expanded
-
-
-def create_apps(spec: ExperimentSpec) -> List[Tuple[str, "ApplicationModel"]]:
-    """Instantiate the spec's apps (seed-expanded) as ``(label, app)`` pairs."""
-    return [(label, _create(name, options))
-            for label, name, options in _expand_apps(spec)]
 
 
 def _create(name: str, options: Dict[str, object]) -> "ApplicationModel":
@@ -362,18 +355,18 @@ def analyze_tasks(plan: ExperimentPlan, tasks: Sequence[SweepTask],
         reports, metadata={"tasks": len(tasks), "traces": sorted(traces)})
 
 
-def group_cohorts(tasks: Sequence[SweepTask], traces: Dict[str, Trace],
-                  min_proven: int = 2) -> List[object]:
+def group_cohorts(tasks: Sequence[SweepTask], traces: Dict[str, Trace]
+                  ) -> List[object]:
     """Group missing sweep tasks into grid-vectorizable cohort batches.
 
     Tasks sharing one trace variant and one structural signature (topology
     shape, node mapping, collective model, eager protocol class -- see
     :func:`repro.dimemas.gridreplay.cohort_signature`) become one
     :class:`CohortTask`; everything else stays a per-cell task.  A group is
-    only batched when at least ``min_proven`` of its members are proven
-    exactly fast-forwardable -- below that the vectorized walk has nothing
-    to amortize, since non-proven members peel off to the per-cell path
-    inside the batch anyway.
+    only batched when at least two of its members are proven exactly
+    fast-forwardable -- below that the vectorized walk has nothing to
+    amortize, since non-proven members peel off to the per-cell path inside
+    the batch anyway.
 
     The returned unit list is deterministic: units appear in the order of
     their first task, and each cohort's members keep task order.  Grouping
@@ -403,9 +396,9 @@ def group_cohorts(tasks: Sequence[SweepTask], traces: Dict[str, Trace],
         for task in members:
             if classify(trace, task.platform).proven_exact:
                 proven += 1
-                if proven >= min_proven:
+                if proven >= 2:
                     break
-        if proven < min_proven:
+        if proven < 2:
             del groups[key]
     units: List[object] = []
     emitted = set()
@@ -427,10 +420,10 @@ def plan_experiment(spec: ExperimentSpec,
     """Expand ``spec`` into a keyed task plan without tracing or replaying.
 
     ``environment``, ``platform`` and ``apps`` are the same injection points
-    :func:`~repro.experiments.runner.run_experiment` exposes for the legacy
-    adapters; when omitted, everything is built from the spec.  Only when
-    both the apps and the environment come from the spec does the plan
-    address original traces by derivation id (``trace_ids``).
+    :func:`~repro.experiments.runner.run_experiment` exposes; when omitted,
+    everything is built from the spec.  Only when both the apps and the
+    environment come from the spec does the plan address original traces
+    by derivation id (``trace_ids``).
     """
     plans = variant_plans(spec)
     derived = apps is None and environment is None

@@ -8,7 +8,7 @@ the existing :mod:`repro.core.reporting` tables directly and tidy exports
 (:meth:`to_rows` / :meth:`to_json` / :meth:`to_csv`) for external analysis.
 Runs executed with ``full_results`` additionally retain the whole
 :class:`~repro.dimemas.results.SimulationResult` objects and can assemble
-legacy :class:`~repro.core.study.OverlapStudy` views (:meth:`studies`).
+per-app :class:`~repro.core.study.OverlapStudy` views (:meth:`studies`).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class ExperimentResult:
             sweeps[cell.app] = cell.sweep
         return sweeps
 
-    # -- legacy study view -------------------------------------------------
+    # -- study view --------------------------------------------------------
     def studies(self) -> Dict[str, "OverlapStudy"]:
         """One :class:`OverlapStudy` per app (full-results, single-point runs)."""
         if self.studies_by_app is None:

@@ -1,8 +1,8 @@
 """One cache-aware runner for every experiment shape.
 
-:func:`run_experiment` is the single execution path behind the legacy sweep
-and study drivers, the CLI and the fluent builder.  It runs a four-stage
-pipeline:
+:func:`run_experiment` is the single execution path behind the CLI, the
+fluent builder and :meth:`OverlapStudyEnvironment.study`.  It runs a
+four-stage pipeline:
 
 1. **plan** -- :func:`~repro.experiments.plan.plan_experiment` expands the
    spec into the keyed (apps x platform grid x variants) task cross-product
@@ -26,11 +26,10 @@ warm, at any ``jobs`` count (the cache-correctness golden tests pin this).
 Grid expansion order is part of the contract: collective model is the
 outermost axis, then topology, node mapping, latency, eager threshold and
 CPU speed, with bandwidth innermost.  A spec that only sweeps bandwidth
-therefore produces exactly the platform list of the legacy
-``run_bandwidth_sweep``, and a spec that sweeps topologies x bandwidths
-produces exactly the list of ``run_topology_sweep`` -- which is what keeps
-the new API bit-identical to the old drivers (the golden-equivalence tests
-pin this).
+therefore replays exactly the platform list of a plain bandwidth sweep, and
+topologies x bandwidths one bandwidth sweep per topology -- the
+golden-equivalence tests pin this against replicas of the pre-redesign
+sweep code.
 """
 
 from __future__ import annotations
@@ -49,18 +48,11 @@ from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import TraceLintError
-from repro.experiments.plan import (  # noqa: F401  (re-exported legacy surface)
+from repro.experiments.plan import (
     ExperimentPlan,
-    VariantPlan,
     analyze_tasks,
-    build_chunking,
-    build_environment,
-    build_platform,
-    create_apps,
-    expand_grid,
     group_cohorts,
     plan_experiment,
-    variant_plans,
 )
 from repro.experiments.result import (
     ExperimentCell,
@@ -202,13 +194,13 @@ def run_experiment(spec: ExperimentSpec,
                    full_results: bool = False,
                    store: Optional[ResultStore] = None,
                    cache_dir: Optional[Union[str, Path]] = None,
-                   precheck: bool = True,
-                   grid_cohorts: bool = True
+                   precheck: bool = True
                    ) -> ExperimentResult:
     """Execute ``spec`` and return the typed result.
 
-    ``environment``, ``platform`` and ``apps`` are injection points for the
-    legacy adapters (which receive already-built objects); when omitted,
+    ``environment``, ``platform`` and ``apps`` are injection points for
+    callers that hold already-built objects (a custom chunking policy or
+    simulator, an app instance with non-registry options); when omitted,
     everything is constructed from the spec.  With ``full_results`` the
     replays additionally ship whole :class:`SimulationResult` objects back
     (timelines included), which :meth:`ExperimentResult.studies` needs --
@@ -230,11 +222,11 @@ def run_experiment(spec: ExperimentSpec,
     The traces are the ones execution needs anyway, so a clean precheck
     costs no extra tracing or transformation.
 
-    ``grid_cohorts`` (the default) groups the missing adaptive-backend tasks
-    into vectorizable platform cohorts so one pass over each trace evaluates
-    a whole grid slice at once; results are reassembled by task index and
-    are bit-identical to the per-cell path.  Full-results runs and custom
-    simulators always fall back to per-cell execution.
+    The missing adaptive-backend tasks are grouped into vectorizable
+    platform cohorts (:func:`~repro.experiments.plan.group_cohorts`) so one
+    pass over each trace evaluates a whole grid slice at once; results are
+    reassembled by task index and are bit-identical to the per-cell path.
+    Full-results runs and custom simulators always run per cell.
     """
     full_results = full_results or spec.collect_timelines
     store = _resolve_store(store, cache_dir)
@@ -275,7 +267,7 @@ def run_experiment(spec: ExperimentSpec,
                 f"precheck=False / --no-precheck to bypass):\n"
                 + report.render_text(), report=report)
     units: Sequence[object] = missing
-    if grid_cohorts and not full_results and _stock_simulator(environment):
+    if not full_results and _stock_simulator(environment):
         units = group_cohorts(missing, traces)
     raw = executor.execute(
         units, traces, full_results=full_results,
@@ -383,7 +375,7 @@ def run_experiment(spec: ExperimentSpec,
 
 def _assemble_studies(app_pairs, plans, results, base_platform,
                       original_traces, overlapped_traces, mechanism):
-    """Fold full per-task results into one legacy study per application."""
+    """Fold full per-task results into one study per application."""
     from repro.core.study import OverlapStudy
 
     per_app = 1 + len(plans)

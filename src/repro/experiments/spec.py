@@ -18,6 +18,7 @@ with ``==`` -- the property the JSON/TOML round-trip tests rely on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Tuple, Union
@@ -103,9 +104,8 @@ class ExperimentSpec:
       ``node_mappings``/``eager_thresholds``/``cpu_speeds`` form the
       platform grid.  An empty axis means "the base platform's value"; the
       grid is the cross-product of the non-empty axes, expanded
-      collective-model-outermost (then topology) and bandwidth-innermost so
-      a single-axis spec reproduces the legacy sweep drivers point for
-      point.
+      collective-model-outermost (then topology) and bandwidth-innermost, so
+      each cell's platforms form one contiguous bandwidth sweep.
     * ``patterns`` and ``mechanisms`` form the variant axis: every traced
       run is replayed as ``original`` plus one overlapped trace per
       (pattern, mechanism) combination.
@@ -173,6 +173,9 @@ class ExperimentSpec:
             raise ConfigurationError("an experiment needs at least one app")
         _unique(self.apps, "apps")
         _unique(self.seeds, "seeds")
+        for field in ("bandwidths", "latencies", "cpu_speeds"):
+            if any(math.isnan(value) for value in getattr(self, field)):
+                raise ConfigurationError(f"{field} must not contain NaN")
         for field, values in (("bandwidths", self.bandwidths),
                               ("latencies", self.latencies)):
             if any(value < 0 for value in values):

@@ -17,10 +17,9 @@ from repro.core.executor import (
     SweepTaskResult,
     validate_variant_labels,
 )
-from repro.core.study import run_batch_study
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import AnalysisError, ConfigurationError
+from repro.experiments import ExperimentSpec, plan_experiment, run_experiment
 
 BANDWIDTHS = [10.0, 100.0, 1000.0]
 
@@ -28,6 +27,13 @@ BANDWIDTHS = [10.0, 100.0, 1000.0]
 @pytest.fixture
 def small_cg():
     return NasCG(num_ranks=4, iterations=2)
+
+
+def _run(apps, environment, full_results=False, **axes):
+    """Run a spec over already-built ``apps`` in ``environment``."""
+    spec = ExperimentSpec(apps=tuple(app.name for app in apps), **axes)
+    return run_experiment(spec, environment=environment, apps=apps,
+                          full_results=full_results)
 
 
 def _sweep_fingerprint(sweep):
@@ -46,23 +52,26 @@ class TestParallelEqualsSerial:
     @pytest.mark.parametrize("app_fixture", ["small_bt", "small_cg"])
     def test_bandwidth_sweep_bit_identical(self, app_fixture, request, environment):
         app = request.getfixturevalue(app_fixture)
-        serial = run_bandwidth_sweep(app, BANDWIDTHS, environment=environment)
-        parallel = run_bandwidth_sweep(app, BANDWIDTHS, environment=environment,
-                                       jobs=4)
+        serial = _run([app], environment, bandwidths=BANDWIDTHS).sweep()
+        parallel = _run([app], environment, bandwidths=BANDWIDTHS,
+                        jobs=4).sweep()
         assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
         assert parallel.metadata["jobs"] == 4
 
     def test_mechanism_sweep_bit_identical(self, small_bt, environment):
-        serial = run_mechanism_sweep(small_bt, 100.0, environment=environment)
-        parallel = run_mechanism_sweep(small_bt, 100.0, environment=environment,
-                                       jobs=2)
-        assert serial == parallel
+        axes = dict(bandwidths=(100.0,), patterns=("ideal",),
+                    mechanisms=("early-send", "late-receive", "full"))
+        serial = _run([small_bt], environment, **axes).sweep()
+        parallel = _run([small_bt], environment, jobs=2, **axes).sweep()
+        assert serial.variants == [ORIGINAL, "early-send", "late-receive",
+                                   "full"]
+        assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
 
-    def test_batch_study_matches_environment_study(self, small_bt, environment):
+    def test_studies_match_environment_study(self, small_bt, environment):
         reference = environment.study(small_bt)
         for jobs in (1, 2):
-            study = run_batch_study([small_bt], environment=environment,
-                                    jobs=jobs)[small_bt.name]
+            study = _run([small_bt], environment, full_results=True,
+                         jobs=jobs).studies()[small_bt.name]
             assert study.original_result.total_time == \
                 reference.original_result.total_time
             for pattern in reference.patterns():
@@ -72,10 +81,11 @@ class TestParallelEqualsSerial:
             assert study.summary()
             assert study.gantt("ideal")
 
-    def test_batch_study_many_apps(self, small_bt, small_cg, environment):
-        serial = run_batch_study([small_bt, small_cg], environment=environment)
-        parallel = run_batch_study([small_bt, small_cg], environment=environment,
-                                   jobs=3)
+    def test_studies_many_apps(self, small_bt, small_cg, environment):
+        apps = [small_bt, small_cg]
+        serial = _run(apps, environment, full_results=True).studies()
+        parallel = _run(apps, environment, full_results=True,
+                        jobs=3).studies()
         assert sorted(serial) == sorted([small_bt.name, small_cg.name])
         for name, study in serial.items():
             other = parallel[name]
@@ -92,20 +102,16 @@ class TestExecutor:
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=-1)
 
-    def test_expand_covers_the_grid(self, environment, small_bt, platform):
-        trace = environment.trace(small_bt)
-        variants = {ORIGINAL: trace, "ideal": environment.overlap(trace)}
-        platforms = [platform.with_bandwidth(b) for b in BANDWIDTHS]
-        tasks = SweepExecutor.expand(variants, platforms, app_name="bt")
-        assert len(tasks) == len(variants) * len(platforms)
+    def test_plan_covers_the_grid(self, environment, small_bt):
+        spec = ExperimentSpec(apps=(small_bt.name,), bandwidths=BANDWIDTHS,
+                              patterns=("ideal",))
+        tasks = plan_experiment(spec, environment=environment,
+                                apps=[small_bt]).tasks
+        variants = [ORIGINAL, "ideal"]
+        assert len(tasks) == len(variants) * len(BANDWIDTHS)
         assert [t.index for t in tasks] == list(range(len(tasks)))
         assert {(t.variant, t.platform.bandwidth_mbps) for t in tasks} == {
             (v, b) for v in variants for b in BANDWIDTHS}
-
-    def test_run_sweep_requires_original(self, environment, small_bt, platform):
-        trace = environment.trace(small_bt)
-        with pytest.raises(AnalysisError):
-            SweepExecutor().run_sweep({"ideal": trace}, platform, BANDWIDTHS)
 
     def test_unknown_trace_key_is_reported(self, environment, small_bt, platform):
         trace = environment.trace(small_bt)
@@ -132,14 +138,14 @@ class TestExecutor:
     def test_duplicate_bandwidths_stay_separate_points(self, small_bt, environment):
         # A degenerate grid (min == max) must keep one row per requested
         # point; grouping is by grid ordinal, not by bandwidth value.
-        sweep = run_bandwidth_sweep(small_bt, [100.0, 100.0, 100.0],
-                                    environment=environment)
+        sweep = _run([small_bt], environment,
+                     bandwidths=[100.0, 100.0, 100.0]).sweep()
         assert len(sweep.points) == 3
         assert [p.bandwidth_mbps for p in sweep.points] == [100.0] * 3
         assert sweep.points[0].times == sweep.points[1].times == sweep.points[2].times
 
     def test_points_carry_task_timings(self, small_bt, environment):
-        sweep = run_bandwidth_sweep(small_bt, BANDWIDTHS, environment=environment)
+        sweep = _run([small_bt], environment, bandwidths=BANDWIDTHS).sweep()
         for point in sweep.points:
             assert set(point.task_seconds) == set(sweep.variants)
             assert point.replay_seconds() > 0.0
@@ -175,9 +181,9 @@ class TestSerialReentrancy:
         executor_module._init_worker({ORIGINAL: {"bogus": "table"}})
         try:
             trace = environment.trace(small_bt)
-            results = SweepExecutor().execute(
-                SweepExecutor.expand({ORIGINAL: trace}, [platform]),
-                {ORIGINAL: trace})
+            task = SweepTask(index=0, variant=ORIGINAL, trace_key=ORIGINAL,
+                             platform=platform, label="bt")
+            results = SweepExecutor().execute([task], {ORIGINAL: trace})
             assert results[0].total_time > 0
             assert executor_module._TRACE_TABLE == {ORIGINAL: {"bogus": "table"}}
         finally:

@@ -6,7 +6,7 @@ import pytest
 from repro.apps import SanchoLoop
 from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.core import executor as executor_module
-from repro.core.executor import SweepExecutor
+from repro.core.executor import SweepExecutor, SweepTask
 from repro.dimemas.platform import Platform
 from repro.store import FileResultStore
 from repro.tracing import trace as trace_module
@@ -42,11 +42,21 @@ def make_variants():
             "ideal": environment.overlap(original)}
 
 
+def make_tasks(variants, platforms):
+    """One metric task per (platform point, variant), in grid order."""
+    cells = [(point, platform, variant)
+             for point, platform in enumerate(platforms)
+             for variant in variants]
+    return [SweepTask(index=index, variant=variant, trace_key=variant,
+                      platform=platform, label=variant, point=point)
+            for index, (point, platform, variant) in enumerate(cells)]
+
+
 class TestSerialExecutorMemo:
     def test_preparation_runs_once_per_variant(self, compile_counter):
         variants = make_variants()
         platforms = [Platform(bandwidth_mbps=b) for b in (50.0, 500.0, 5000.0)]
-        tasks = SweepExecutor.expand(variants, platforms)
+        tasks = make_tasks(variants, platforms)
         SweepExecutor(jobs=1).execute(tasks, variants)
         assert len(compile_counter) == len(variants)
 
@@ -57,7 +67,7 @@ class TestSerialExecutorMemo:
         platforms = [Platform(bandwidth_mbps=b) for b in (50.0, 500.0)]
         executor = SweepExecutor(jobs=1)
 
-        tasks = SweepExecutor.expand(variants, platforms)
+        tasks = make_tasks(variants, platforms)
         executor.execute(tasks, variants, store=store)
         assert len(compile_counter) == len(variants)
 
@@ -68,7 +78,7 @@ class TestSerialExecutorMemo:
         reloaded = {key: Trace.from_dict(trace.to_dict())
                     .adopt_digest(trace.digest())
                     for key, trace in variants.items()}
-        executor.execute(SweepExecutor.expand(reloaded, platforms),
+        executor.execute(make_tasks(reloaded, platforms),
                          reloaded, store=store)
         assert len(compile_counter) == len(variants)
 

@@ -7,30 +7,21 @@ sweep then reported numbers for the wrong trace without any error.
 
 import pytest
 
-from repro.core import ComputationPattern, OverlapMechanism
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep
-from repro.errors import AnalysisError
-
-
-class _FakePattern:
-    """A pattern-like object whose label collides with the original variant."""
-
-    value = "original"
+from repro.core import ComputationPattern
+from repro.errors import AnalysisError, ConfigurationError
+from repro.experiments import ExperimentSpec
 
 
 class TestBandwidthSweepValidation:
-    def test_duplicate_patterns_raise(self, small_bt, environment):
-        with pytest.raises(AnalysisError, match="duplicate"):
-            run_bandwidth_sweep(
-                small_bt, [100.0],
-                patterns=(ComputationPattern.IDEAL, ComputationPattern.IDEAL),
-                environment=environment)
+    def test_duplicate_patterns_raise(self, small_bt):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            ExperimentSpec(apps=(small_bt.name,), bandwidths=(100.0,),
+                           patterns=("ideal", "ideal"))
 
-    def test_original_label_collision_raises(self, small_bt, environment):
-        with pytest.raises(AnalysisError, match="original"):
-            run_bandwidth_sweep(small_bt, [100.0],
-                                patterns=(_FakePattern(),),
-                                environment=environment)
+    def test_original_label_collision_raises(self, small_bt):
+        with pytest.raises(ConfigurationError, match="original"):
+            ExperimentSpec(apps=(small_bt.name,), bandwidths=(100.0,),
+                           patterns=("original",))
 
 
 class TestStudyValidation:
@@ -42,26 +33,7 @@ class TestStudyValidation:
 
 
 class TestMechanismSweepValidation:
-    def test_duplicate_mechanisms_raise(self, small_bt, environment):
-        with pytest.raises(AnalysisError, match="duplicate"):
-            run_mechanism_sweep(
-                small_bt, 100.0,
-                mechanisms=(OverlapMechanism.FULL, OverlapMechanism.FULL),
-                environment=environment)
-
-
-class TestMechanismSweepSingleMechanism:
-    def test_single_mechanism_keeps_its_label(self, small_bt, environment):
-        """Regression: a lone mechanism must map back onto its own label.
-
-        The unified runner labels a lone overlapped variant by the pattern
-        value; the adapter has to translate that back to the mechanism label
-        the legacy API returns.
-        """
-        from repro.core import OverlapMechanism
-
-        speedups = run_mechanism_sweep(
-            small_bt, 100.0, mechanisms=(OverlapMechanism.FULL,),
-            environment=environment)
-        assert set(speedups) == {"full"}
-        assert speedups["full"] > 0
+    def test_duplicate_mechanisms_raise(self, small_bt):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            ExperimentSpec(apps=(small_bt.name,), bandwidths=(100.0,),
+                           patterns=("ideal",), mechanisms=("full", "full"))

@@ -30,7 +30,7 @@ from repro.dimemas.gridreplay import cohort_signature, replay_cohort
 from repro.dimemas.platform import Platform
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import AnalysisError
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import ExperimentSpec, run_experiment, runner
 from repro.experiments.plan import group_cohorts
 from repro.store import FileResultStore
 
@@ -283,14 +283,22 @@ def _stable_payloads(store):
     return payloads
 
 
+def _disable_cohorts(monkeypatch):
+    """Make the runner execute every missing cell per cell."""
+    monkeypatch.setattr(runner, "group_cohorts",
+                        lambda tasks, traces: list(tasks))
+
+
 class TestSweepIntegration:
     """Cohort batching through run_experiment: cache and rows unchanged."""
 
-    def test_cache_entries_byte_identical_to_per_cell(self, tmp_path):
+    def test_cache_entries_byte_identical_to_per_cell(self, tmp_path,
+                                                      monkeypatch):
         grid_store = FileResultStore(tmp_path / "grid")
         cell_store = FileResultStore(tmp_path / "cell")
-        grid = run_experiment(SWEEP_SPEC, store=grid_store, grid_cohorts=True)
-        cell = run_experiment(SWEEP_SPEC, store=cell_store, grid_cohorts=False)
+        grid = run_experiment(SWEEP_SPEC, store=grid_store)
+        _disable_cohorts(monkeypatch)
+        cell = run_experiment(SWEEP_SPEC, store=cell_store)
         assert _stable_rows(grid) == _stable_rows(cell)
         grid_payloads = _stable_payloads(grid_store)
         cell_payloads = _stable_payloads(cell_store)
@@ -302,10 +310,12 @@ class TestSweepIntegration:
         parallel = run_experiment(SWEEP_SPEC.with_jobs(2))
         assert _stable_rows(parallel) == _stable_rows(serial)
 
-    def test_warm_run_serves_grid_written_entries(self, tmp_path):
+    def test_warm_run_serves_grid_written_entries(self, tmp_path,
+                                                  monkeypatch):
         store = FileResultStore(tmp_path)
-        run_experiment(SWEEP_SPEC, store=store, grid_cohorts=True)
-        warm = run_experiment(SWEEP_SPEC, store=store, grid_cohorts=False)
+        run_experiment(SWEEP_SPEC, store=store)
+        _disable_cohorts(monkeypatch)
+        warm = run_experiment(SWEEP_SPEC, store=store)
         stats = warm.cache_stats()
         assert stats["hits"] == len(warm.provenance)
         assert stats["misses"] == 0

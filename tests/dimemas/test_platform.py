@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dimemas.platform import Platform
+from repro.dimemas.platform import FLOAT_FIELDS, Platform
+from repro.dimemas.simulator import simulate
 from repro.errors import ConfigurationError
 
 
@@ -18,6 +19,26 @@ class TestPlatformValidation:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             Platform(**kwargs)
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_nan_rejected_in_every_float_field(self, field):
+        # NaN fails every comparison, so a plain range check lets it through.
+        with pytest.raises(ConfigurationError, match=f"{field}.*NaN"):
+            Platform(**{field: float("nan")})
+
+    @pytest.mark.parametrize("topology", [
+        "tree:bandwidth_scale=nan", "tree:link_scale=nan",
+        "torus:hop_latency=nan"])
+    def test_nan_rejected_in_topology_floats(self, topology):
+        with pytest.raises(ConfigurationError):
+            Platform(topology=topology)
+
+    def test_infinite_bandwidth_replays_as_the_ideal_network(self, vm,
+                                                             small_loop):
+        trace = vm.trace(small_loop)
+        infinite = simulate(trace, Platform(bandwidth_mbps=float("inf")))
+        ideal = simulate(trace, Platform(bandwidth_mbps=0.0))
+        assert infinite.total_time == ideal.total_time
 
     def test_defaults_are_valid(self):
         platform = Platform()

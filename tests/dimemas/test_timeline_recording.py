@@ -11,12 +11,12 @@ import pytest
 
 from repro.core.analysis import ORIGINAL
 from repro.core.environment import OverlapStudyEnvironment
-from repro.core.executor import SweepExecutor
+from repro.core.executor import SweepExecutor, SweepTask
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import AnalysisError
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import ExperimentSpec, plan_experiment, run_experiment
 from repro.paraver.states import ThreadState
 from repro.paraver.timeline import NullRecorder, Timeline
 
@@ -70,22 +70,24 @@ class TestEngineFlag:
 
 
 class TestExecutorWiring:
-    def test_metric_tasks_default_to_null_recorder(self, trace, platform):
-        tasks = SweepExecutor.expand({ORIGINAL: trace}, [platform])
-        assert all(task.collect_timeline is False for task in tasks)
+    def test_metric_tasks_default_to_null_recorder(self):
+        plan = plan_experiment(ExperimentSpec(apps=("sancho-loop",),
+                                              bandwidths=(50.0, 500.0)))
+        assert all(task.collect_timeline is False for task in plan.tasks)
 
     def test_task_flag_reaches_the_replay(self, trace, platform):
-        from dataclasses import replace
-        task = replace(SweepExecutor.expand({ORIGINAL: trace}, [platform])[0],
-                       collect_timeline=True)
+        task = SweepTask(index=0, variant=ORIGINAL, trace_key=ORIGINAL,
+                         platform=platform, label="loop",
+                         collect_timeline=True)
         # Metric rows don't ship timelines, but the flag must still select
         # the recording replay path (simulator honours it per task).
         result = SweepExecutor().execute([task], {ORIGINAL: trace})
         assert result[0].total_time > 0
 
     def test_full_results_always_carry_timelines(self, trace, platform):
-        tasks = SweepExecutor.expand({ORIGINAL: trace}, [platform])
-        results = SweepExecutor().execute(tasks, {ORIGINAL: trace},
+        task = SweepTask(index=0, variant=ORIGINAL, trace_key=ORIGINAL,
+                         platform=platform, label="loop")
+        results = SweepExecutor().execute([task], {ORIGINAL: trace},
                                           full_results=True)
         assert results[0].timeline.intervals
 

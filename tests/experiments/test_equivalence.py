@@ -1,18 +1,15 @@
-"""Golden-equivalence tests: the declarative API vs the legacy drivers.
+"""Golden-equivalence tests: the declarative API vs the pre-redesign drivers.
 
 The acceptance contract of the experiment-API redesign: an
 :class:`ExperimentSpec` loaded from a TOML file must reproduce the exact
-per-point results of the legacy ``run_bandwidth_sweep`` /
-``run_topology_sweep`` calls -- bit-identical, ``jobs > 1`` included.
+per-point results of the historical bandwidth and topology sweep drivers
+-- bit-identical, ``jobs > 1`` included.
 
-Because the legacy drivers are now thin adapters over the same runner, the
-tests compare against *embedded replicas of the pre-redesign driver code*
-(straight-line use of the ``SweepExecutor``, copied from the legacy
-``repro.core.sweeps``), not just against the adapters: a regression in the
+The tests compare against *embedded replicas of the pre-redesign driver
+code* (straight-line task expansion and ``SweepExecutor`` use), which share
+nothing with the runner but the executor itself: a regression in the
 runner's grid ordering or variant labelling cannot hide behind shared code.
 """
-
-import warnings
 
 import pytest
 
@@ -20,14 +17,13 @@ from repro.apps.synthetic import SanchoLoop
 from repro.core import OverlapStudyEnvironment
 from repro.core.analysis import ORIGINAL
 from repro.core.chunking import FixedCountChunking
-from repro.core.executor import SweepExecutor
+from repro.core.executor import SweepExecutor, SweepTask
 from repro.core.patterns import ComputationPattern
-from repro.core.sweeps import run_bandwidth_sweep, run_topology_sweep
 from repro.experiments import ExperimentSpec, run_experiment
 
 BANDWIDTHS = [20.0, 200.0, 2000.0]
 # Canonical string forms (TopologySpec.to_string omits defaulted options),
-# so the legacy drivers and the spec key sweeps identically.
+# so the replicas and the spec key sweeps identically.
 TOPOLOGIES = ["flat", "tree:radix=2", "torus:torus_width=2"]
 
 SPEC_TOML = """
@@ -76,19 +72,34 @@ def _legacy_variants(environment, app):
     return variants
 
 
+def _legacy_tasks(variants, platforms, app_name):
+    """Task expansion exactly as the pre-redesign executor did it."""
+    tasks = []
+    for point, platform in enumerate(platforms):
+        for variant in variants:
+            label = f"{app_name}:{variant}@{platform.bandwidth_mbps}MBps"
+            if platform.topology.kind != "flat":
+                label += f"/{platform.topology.kind}"
+            tasks.append(SweepTask(index=len(tasks), variant=variant,
+                                   trace_key=variant, platform=platform,
+                                   label=label, point=point))
+    return tasks
+
+
 def _legacy_bandwidth_points(jobs=1):
-    """Replica of the pre-redesign ``run_bandwidth_sweep`` replay section."""
+    """Replica of the pre-redesign bandwidth-sweep replay section."""
     environment = _environment()
     variants = _legacy_variants(environment, _app())
+    platforms = [environment.platform.with_bandwidth(b) for b in BANDWIDTHS]
     executor = SweepExecutor(jobs=jobs)
-    points, _ = executor.run_sweep(variants, environment.platform, BANDWIDTHS,
-                                   app_name="sancho-loop",
-                                   simulator=environment.simulator)
-    return points
+    tasks = _legacy_tasks(variants, platforms, app_name="sancho-loop")
+    results = executor.execute(tasks, variants,
+                               simulator=environment.simulator)
+    return executor.merge(results)
 
 
 def _legacy_topology_points(jobs=1):
-    """Replica of the pre-redesign ``run_topology_sweep`` replay section."""
+    """Replica of the pre-redesign topology-sweep replay section."""
     environment = _environment()
     variants = _legacy_variants(environment, _app())
     base = environment.platform
@@ -97,7 +108,7 @@ def _legacy_topology_points(jobs=1):
         on_topology = base.with_topology(topology)
         platforms.extend(on_topology.with_bandwidth(b) for b in BANDWIDTHS)
     executor = SweepExecutor(jobs=jobs)
-    tasks = executor.expand(variants, platforms, app_name="sancho-loop")
+    tasks = _legacy_tasks(variants, platforms, app_name="sancho-loop")
     results = executor.execute(tasks, variants, simulator=environment.simulator)
     per_topology = {}
     for index, topology in enumerate(TOPOLOGIES):
@@ -115,19 +126,6 @@ class TestBandwidthSweepEquivalence:
         result = run_experiment(spec)
         assert _point_fingerprint(result.sweep().points) == \
             _point_fingerprint(_legacy_bandwidth_points(jobs=jobs))
-
-    def test_spec_file_matches_adapter(self, tmp_path):
-        path = tmp_path / "experiment.toml"
-        path.write_text(SPEC_TOML, encoding="utf-8")
-        result = run_experiment(ExperimentSpec.from_file(path))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_bandwidth_sweep(_app(), BANDWIDTHS,
-                                         environment=_environment())
-        assert _point_fingerprint(result.sweep().points) == \
-            _point_fingerprint(legacy.points)
-        assert result.sweep().variants == legacy.variants
-        assert legacy.metadata["jobs"] == 1
 
     def test_parallel_spec_matches_serial_spec(self):
         spec = ExperimentSpec.from_toml(SPEC_TOML)
@@ -154,21 +152,6 @@ class TestTopologySweepEquivalence:
         for topology in TOPOLOGIES:
             assert _point_fingerprint(sweeps[topology].points) == \
                 _point_fingerprint(legacy[topology]), topology
-
-    def test_adapter_matches_spec(self):
-        spec = ExperimentSpec.from_toml(TOPOLOGY_SPEC_TOML)
-        from dataclasses import replace
-        spec = replace(spec, topologies=tuple(TOPOLOGIES))
-        mine = run_experiment(spec).by_topology()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_topology_sweep(_app(), TOPOLOGIES, BANDWIDTHS,
-                                        environment=_environment())
-        assert list(mine) == list(legacy)
-        for key in legacy:
-            assert _point_fingerprint(mine[key].points) == \
-                _point_fingerprint(legacy[key].points)
-            assert legacy[key].metadata["topology"] == key
 
 
 class TestStudyEquivalence:

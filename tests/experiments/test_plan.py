@@ -2,6 +2,8 @@
 lazy trace materialisation (a warm run must trace, transform and replay
 nothing)."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import SanchoLoop
@@ -13,6 +15,7 @@ from repro.experiments import (
     plan_experiment,
     preview_experiment,
     run_experiment,
+    runner,
 )
 from repro.experiments.plan import build_environment
 from repro.store import CellKey, FileResultStore
@@ -307,20 +310,27 @@ class TestCohortGrouping:
         traces = plan.traces_for(plan.tasks)
         assert group_cohorts(plan.tasks, traces) == list(plan.tasks)
 
-    def test_demotes_below_min_proven(self):
+    def test_lone_proven_cell_stays_per_cell(self):
+        # One proven member gives the vectorized walk nothing to amortize.
         from repro.experiments.plan import group_cohorts
 
-        plan = plan_experiment(self.ADAPTIVE_SPEC)
+        spec = dataclasses.replace(self.ADAPTIVE_SPEC, bandwidths=(500.0,))
+        plan = plan_experiment(spec)
         traces = plan.traces_for(plan.tasks)
-        units = group_cohorts(plan.tasks, traces, min_proven=4)
+        assert all(windows.classify(traces[task.trace_key],
+                                    task.platform).proven_exact
+                   for task in plan.tasks)
+        units = group_cohorts(plan.tasks, traces)
         assert units == list(plan.tasks)
 
-    def test_grid_run_matches_per_cell_run(self):
+    def test_grid_run_matches_per_cell_run(self, monkeypatch):
         def stable(result):
             return [{key: value for key, value in row.items()
                      if key != "task_seconds"}
                     for row in result.to_rows()]
 
-        grid = run_experiment(self.ADAPTIVE_SPEC, grid_cohorts=True)
-        cell = run_experiment(self.ADAPTIVE_SPEC, grid_cohorts=False)
+        grid = run_experiment(self.ADAPTIVE_SPEC)
+        monkeypatch.setattr(runner, "group_cohorts",
+                            lambda tasks, traces: list(tasks))
+        cell = run_experiment(self.ADAPTIVE_SPEC)
         assert stable(grid) == stable(cell)

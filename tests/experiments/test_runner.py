@@ -6,7 +6,7 @@ import pytest
 from repro.dimemas.platform import Platform
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments import Experiment, ExperimentSpec, run_experiment
-from repro.experiments.runner import expand_grid, variant_plans
+from repro.experiments.plan import expand_grid, variant_plans
 
 
 def _stable_rows(result):

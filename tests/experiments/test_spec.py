@@ -119,6 +119,17 @@ class TestValidation:
             ExperimentSpec(apps=("a",), jobs=-1)
 
 
+    @pytest.mark.parametrize("field", ["bandwidths", "latencies",
+                                       "cpu_speeds"])
+    def test_nan_axis_values_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field}.*NaN"):
+            ExperimentSpec(apps=("a",), **{field: (1.0, float("nan"))})
+
+    def test_infinite_bandwidth_allowed(self):
+        spec = ExperimentSpec(apps=("a",), bandwidths=(float("inf"),))
+        assert spec.bandwidths == (float("inf"),)
+
+
 class TestRoundTrip:
     def test_json_round_trip_equality(self):
         spec = _rich_spec()
@@ -242,6 +253,27 @@ class TestUnknownKeys:
             ExperimentSpec.from_json(
                 '{"experiment": {"apps": ["a"]},'
                 ' "platform": {"replay_backend": "compiled"}}')
+
+    @pytest.mark.parametrize("field", ["bandwidths", "latencies",
+                                       "cpu_speeds"])
+    def test_nan_axis_via_file(self, field):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            ExperimentSpec.from_toml(
+                f"[experiment]\napps = [\"a\"]\n{field} = [nan]\n")
+        with pytest.raises(ConfigurationError, match="NaN"):
+            ExperimentSpec.from_json(
+                f'{{"experiment": {{"apps": ["a"], "{field}": [NaN]}}}}')
+
+    @pytest.mark.parametrize("field", ["bandwidth_mbps", "latency",
+                                       "relative_cpu_speed", "mpi_overhead"])
+    def test_nan_platform_value_via_file(self, field):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            ExperimentSpec.from_toml(
+                f"[experiment]\napps = [\"a\"]\n[platform]\n{field} = nan\n")
+        with pytest.raises(ConfigurationError, match="NaN"):
+            ExperimentSpec.from_json(
+                f'{{"experiment": {{"apps": ["a"]}},'
+                f' "platform": {{"{field}": NaN}}}}')
 
     def test_invalid_toml_reported(self):
         with pytest.raises(ConfigurationError, match="invalid TOML"):

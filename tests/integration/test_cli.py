@@ -18,6 +18,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "speedup" in out and "sancho-loop" in out
 
+    @pytest.mark.parametrize("command", ["study", "sweep"])
+    @pytest.mark.parametrize("flag", ["--bandwidth", "--latency",
+                                      "--cpu-speed", "--intranode-bandwidth",
+                                      "--max-relative-error"])
+    def test_nan_platform_values_rejected(self, command, flag, capsys):
+        code = main([command, "--app", "sancho-loop", "--ranks", "4",
+                     "--iterations", "1", flag, "nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "NaN" in captured.err
+        assert "speedup" not in captured.out
+
     def test_study_with_gantt(self, capsys):
         code = main(["study", "--app", "sancho-loop", "--ranks", "4",
                      "--iterations", "1", "--gantt", "--chunk-count", "4"])
@@ -234,6 +246,18 @@ count = 4
         path.write_text("[experiment]\napps = []\n", encoding="utf-8")
         assert main(["run", "--spec", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_run_rejects_a_nan_axis(self, tmp_path, capsys):
+        path = self._write(tmp_path).with_suffix(".json")
+        path.write_text('{"experiment": {"apps": ["sancho-loop"],'
+                        ' "bandwidths": [NaN]}}', encoding="utf-8")
+        assert main(["run", "--spec", str(path)]) == 1
+        assert "NaN" in capsys.readouterr().err
+        toml = self._write(tmp_path)
+        toml.write_text(self.SPEC.replace("[50.0, 500.0]", "[50.0, nan]"),
+                        encoding="utf-8")
+        assert main(["run", "--spec", str(toml)]) == 1
+        assert "NaN" in capsys.readouterr().err
 
     def test_run_reports_a_missing_spec_file(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.toml")]) == 1

@@ -14,11 +14,10 @@ Two families of guarantees:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import NasBT
-from repro.core import OverlapStudyEnvironment, run_topology_sweep
 from repro.dimemas.platform import Platform
 from repro.dimemas.simulator import simulate
 from repro.dimemas.topology import TopologySpec
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.tracing.machine import TracingVirtualMachine
 from repro.workloads import generate_workload
 
@@ -78,9 +77,11 @@ def test_topology_sweep_is_deterministic_under_parallel_jobs():
     bandwidths = [25.0, 400.0]
 
     def _run(jobs):
-        return run_topology_sweep(
-            NasBT(num_ranks=8, iterations=2), topologies, bandwidths,
-            environment=OverlapStudyEnvironment(), jobs=jobs)
+        spec = ExperimentSpec(apps=("nas-bt",),
+                              app_options={"num_ranks": 8, "iterations": 2},
+                              topologies=topologies, bandwidths=bandwidths,
+                              jobs=jobs)
+        return run_experiment(spec).by_topology()
 
     serial = _run(1)
     parallel = _run(2)
