@@ -380,12 +380,13 @@ class SweepExecutor:
     def __init__(self, jobs: Optional[int] = None):
         if jobs is None:
             jobs = 1
-        elif jobs == 0:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
+        # bool is an int subclass; a float or string count would be
+        # truncated or fail later.
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
             raise ConfigurationError(
-                f"jobs must be >= 1 (or 0 for all cores), got {jobs!r}")
-        self.jobs = int(jobs)
+                f"jobs must be an integer >= 1 (or 0 for all cores), "
+                f"got {jobs!r}")
+        self.jobs = jobs or os.cpu_count() or 1
 
     # -- execution ---------------------------------------------------------
     def execute(self, tasks: Sequence[Union[SweepTask, CohortTask]],

@@ -17,7 +17,11 @@ implements that machine model from scratch on top of :mod:`repro.des`:
   that lowers collectives into point-to-point phases routed over the
   topology model);
 * :mod:`repro.dimemas.matching`    -- cross-rank message matching;
-* :mod:`repro.dimemas.replay`      -- the per-rank replay processes;
+* :mod:`repro.dimemas.replay`      -- the replay interpreters: DES rank
+  processes, the lane walk of proven cells and the paced mode of
+  contended ones;
+* :mod:`repro.dimemas.gridreplay`  -- sweep cohorts replayed as one lane
+  walk;
 * :mod:`repro.dimemas.results`     -- per-rank statistics and aggregates;
 * :mod:`repro.dimemas.simulator`   -- the facade (`DimemasSimulator`).
 """

@@ -1,35 +1,44 @@
-"""Per-rank replay processes and the collective coordinator.
+"""Replay of one trace on one platform: the DES, the lane walk, the paced mode.
 
-Every rank of the trace becomes one DES process that walks its record list:
-computation bursts advance local time (scaled by the platform's relative CPU
-speed), point-to-point records go through the matcher and the network, and
-collective records synchronise through the :class:`CollectiveCoordinator`,
-which applies the platform's pluggable collective cost model
-(:mod:`repro.dimemas.collectives`: closed-form ``analytical`` durations or
-``decomposed`` point-to-point phase schedules routed over the fabric).
+A replay is run by one of three interpreters, which share the same
+semantics and the same float expressions:
 
-The per-rank walk is the hottest loop of the whole system (every sweep cell
-replays every record of every rank), so it is written as a fast path:
+* the **DES** rank loop (:meth:`ReplayEngine._rank_process`): every rank of
+  the trace becomes one DES process that walks its record list --
+  computation bursts advance local time (scaled by the platform's relative
+  CPU speed), point-to-point records go through the matcher and the
+  network, and collective records synchronise through the
+  :class:`CollectiveCoordinator`, which applies the platform's pluggable
+  collective cost model (:mod:`repro.dimemas.collectives`).  It runs the
+  ``event`` backend and the ``adaptive`` backend's exact fallback;
+* the **lane walk** (:func:`lane_walk`): the closed-form interpreter of
+  cells the window classifier (:mod:`repro.dimemas.windows`) proved
+  contention-free.  It carries one clock per platform ("lane"), so a
+  per-cell replay is a walk of width 1 and a sweep cohort
+  (:mod:`repro.dimemas.gridreplay`) is one walk of any width; at width 1 it
+  can also record the timeline.  Its results are bit-identical to the DES;
+* the **paced mode** (:meth:`ReplayEngine._run_paced`): the closed-form
+  interpreter of adaptive cells with contended windows.  It orders every
+  clock advance through a time-ordered heap and walks contended transfers
+  through a FIFO resource micro-model, within the platform's
+  ``max_relative_error`` bound.
 
-* records are dispatched through the precomputed per-record-type opcode
-  table of the prepared trace (:meth:`repro.tracing.trace.Trace.prepared`)
-  instead of an ``isinstance`` chain;
-* every per-iteration attribute lookup (environment clock, matcher posting
-  methods, stats object, timeout factory, CPU resource of the rank) is
-  hoisted out of the loop;
-* timeline recording is pluggable: with ``collect_timeline=False`` the
-  engine installs a :class:`~repro.paraver.timeline.NullRecorder` and the
-  loop skips interval bookkeeping entirely.
-
-The fast path is pinned bit-identical to the straightforward implementation
-by the golden tests in ``tests/dimemas/test_replay_golden.py``.
+The DES rank loop is the hottest loop of an exact replay, so it is written
+as a fast path: records are dispatched through the precomputed opcode table
+of the prepared trace (:meth:`repro.tracing.trace.Trace.prepared`), every
+per-iteration attribute lookup is hoisted out of the loop, and with
+``collect_timeline=False`` the engine installs a
+:class:`~repro.paraver.timeline.NullRecorder` so the loop skips interval
+bookkeeping entirely.  The golden tests in
+``tests/dimemas/test_replay_golden.py`` pin it bit-identical to the
+straightforward implementation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import format_defect
 from repro.des import Environment, Event, Resource
@@ -39,9 +48,14 @@ from repro.dimemas.collectives import build_collective_model
 from repro.dimemas.collectives.analytical import collective_duration
 from repro.dimemas.matching import MessageMatcher
 from repro.dimemas.messages import Message
-from repro.dimemas.network import CollapsingNetworkFabric, NetworkFabric
+from repro.dimemas.network import (
+    CollapsingNetworkFabric,
+    NetworkFabric,
+    NetworkStatistics,
+)
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import RankStats
+from repro.dimemas.topology import build_network_model
 from repro.dimemas.windows import WindowPlan, classify
 from repro.errors import SimulationError
 from repro.paraver.states import ThreadState
@@ -178,7 +192,7 @@ class CollectiveCoordinator:
 
 
 class _FastMessage:
-    """Message state of the adaptive fast-forward interpreter.
+    """Message state of the paced mode.
 
     The closed-form interpreter never schedules events, so it replaces
     :class:`~repro.dimemas.messages.Message` (whose lifecycle is built from
@@ -187,19 +201,14 @@ class _FastMessage:
     ranks blocked on this message.
     """
 
-    __slots__ = ("src", "dst", "tag", "order", "size", "eager", "send_posted",
+    __slots__ = ("src", "dst", "tag", "size", "eager", "send_posted",
                  "recv_posted", "send_time", "recv_time", "arrival",
                  "transfer_start", "waiters", "r_notified", "s_notified")
 
-    def __init__(self, src: int, dst: int, tag: int, order: int = 0):
+    def __init__(self, src: int, dst: int, tag: int):
         self.src = src
         self.dst = dst
         self.tag = tag
-        # Pair index within (src, dst, tag): matching is FIFO per key, so
-        # the k-th created message of a key IS the k-th matched pair --
-        # a time-independent identity used to emit network statistics in
-        # canonical order on proven cells (see _run_adaptive).
-        self.order = order
         self.size = 0
         self.eager = False
         self.send_posted = False
@@ -209,17 +218,17 @@ class _FastMessage:
         self.arrival: Optional[float] = None
         self.transfer_start: Optional[float] = None
         self.waiters: List[Tuple[str, int]] = []
-        # Contended-cell notification state: True once the heap analogue of
-        # the DES `arrived` / `send_complete` pop has run (a rank reaching
-        # a completed message before its notification pop must still park,
+        # Notification state: True once the heap analogue of the DES
+        # `arrived` / `send_complete` pop has run (a rank reaching a
+        # completed message before its notification pop must still park,
         # exactly as a DES process waiting on a succeeded-but-unpopped
-        # event does).  Proven cells never read these.
+        # event does).
         self.r_notified = False
         self.s_notified = False
 
 
 class _FastCollective:
-    """Collective state of the adaptive fast-forward interpreter.
+    """Collective state of the paced mode.
 
     The window classifier already proved every rank enters the same
     collectives with the same parameters, so this carries only what the
@@ -240,7 +249,7 @@ class _FastCollective:
 
 
 class _TransferTask:
-    """One in-flight contended transfer of the adaptive interpreter.
+    """One in-flight contended transfer of the paced mode.
 
     Walks its route exactly like ``NetworkFabric._transfer``: acquire the
     hop's limited resources in the hop's fixed order (FIFO per resource,
@@ -275,7 +284,9 @@ class ReplayEngine:
     :class:`~repro.paraver.timeline.NullRecorder` so metric-only callers
     (bandwidth sweeps, experiment grids) skip the recording cost.  The
     scalar results -- total time, rank statistics, network statistics --
-    are bit-identical either way.
+    are bit-identical either way, in every interpreter: a proven adaptive
+    cell records its timeline from the same width-1 lane walk that
+    replays it without one.
     """
 
     def __init__(self, trace: Trace, platform: Platform,
@@ -315,36 +326,19 @@ class ReplayEngine:
         if backend == "adaptive":
             plan = classify(self.trace, self.platform)
             self.window_plan = plan
+            self.adaptive_summary = adaptive_summary(plan, self.platform)
+            if plan.proven_exact:
+                ((total_time, self.stats, network_stats),) = lane_walk(
+                    self.trace, [self.platform], [self.network.model],
+                    self.timeline if self.collect_timeline else None)
+                return total_time, self.stats, self.timeline, network_stats
             if plan.fast_forward:
-                contended = self._run_adaptive(prepared)
-                self.adaptive_summary = {
-                    "backend": "adaptive",
-                    "mode": "fast-forward",
-                    "windows": plan.num_windows,
-                    "proven_windows": plan.proven_windows,
-                    "network_uncontended": plan.network_uncontended,
-                    "proven_exact": plan.proven_exact,
-                    "contended_transfers": contended,
-                    "max_relative_error": self.platform.max_relative_error,
-                    "error_bound": (0.0 if plan.proven_exact
-                                    else self.platform.max_relative_error),
-                }
+                self.adaptive_summary["contended_transfers"] = (
+                    self._run_paced(prepared))
                 return self._finalize()
             # Not fast-forwardable: the DES rank loop below replays the
             # cell exactly over the collapsing fabric (and, for defective
             # traces, raises the exact errors the event backend would).
-            self.adaptive_summary = {
-                "backend": "adaptive",
-                "mode": "des-fallback",
-                "fallback_reason": plan.reason,
-                "windows": plan.num_windows,
-                "proven_windows": plan.proven_windows,
-                "network_uncontended": plan.network_uncontended,
-                "proven_exact": True,
-                "contended_transfers": 0,
-                "max_relative_error": self.platform.max_relative_error,
-                "error_bound": 0.0,
-            }
         for rank_trace in self.trace:
             rank = rank_trace.rank
             self._processes.append(self.env.process(
@@ -356,29 +350,17 @@ class ReplayEngine:
 
     def _finalize(self) -> Tuple[float, List[RankStats], Timeline, Dict[str, float]]:
         total_time = max((stats.finish_time for stats in self.stats), default=0.0)
-        network_stats = dict(self.network.statistics.summary())
-        network_stats["messages_matched"] = self.matcher.messages_matched
-        network_stats["topology"] = self.platform.topology.kind
-        network_stats["hop_queue_time"] = dict(self.network.statistics.hop_queue_time)
-        network_stats["hop_transfers"] = dict(self.network.statistics.hop_transfers)
-        return total_time, self.stats, self.timeline, network_stats
+        return total_time, self.stats, self.timeline, network_summary(
+            self.network.statistics, self.matcher.messages_matched,
+            self.platform)
 
     # -- internals ------------------------------------------------------------
     def _check_finished(self) -> None:
-        stuck = [index for index, process in enumerate(self._processes)
+        stuck = [(rank, self._progress[rank])
+                 for rank, process in enumerate(self._processes)
                  if not process.triggered]
-        if not stuck:
-            return
-        details = []
-        for rank in stuck:
-            position = self._progress[rank]
-            records = self.trace[rank].records
-            record = records[position] if position < len(records) else None
-            details.append(f"rank {rank} stuck at record {position} ({record!r})")
-        unmatched = self.matcher.unmatched()
-        raise SimulationError(
-            "replay deadlocked: " + "; ".join(details)
-            + f"; unmatched postings: {unmatched}")
+        if stuck:
+            raise _deadlock(self.trace, stuck, self.matcher.unmatched())
 
     def _cpu_resource(self, node: int) -> Optional[Resource]:
         if not self.platform.cpu_contention:
@@ -547,28 +529,25 @@ class ReplayEngine:
             f"finished the trace with outstanding non-blocking request(s) "
             f"never waited on: {ids} (issued at record(s) {positions})"))
 
-    def _run_adaptive(self, prepared) -> int:
-        """Closed-form fast-forward of the whole replay; returns the number
-        of resource-queueing waits (0 on a proven contention-free cell).
+    def _run_paced(self, prepared) -> int:
+        """Paced closed-form replay of a contended cell; returns the number
+        of resource-queueing waits.
 
         No DES events: every rank carries a scalar clock advanced by the
-        same float expressions as the per-record walk, a min-clock heap
-        picks which rank to advance, and blocking operations either jump
-        the clock to an already-computed completion instant or park the
-        rank on the message/collective that will wake it.  On cells the
-        classifier proved contention-free this replicates the event
-        backend bit for bit (every recurrence is the exact expression of
-        :meth:`_rank_process`, and all of them are order-independent).
-        On contended cells, transfers that cross a limited resource walk
-        their route through a FIFO resource micro-model driven by the
-        same time-ordered heap -- faithful to the DES's sequential
-        acquisition and FIFO grants, with only same-instant tie order
-        approximated -- and the result carries the platform's
-        ``max_relative_error`` bound instead of exactness.
+        same float expressions as the per-record walk, and a time-ordered
+        ready heap paces every clock advance -- a CPU burst, an overhead
+        charge, a transfer step, a message notification, a collective
+        exit -- the way the DES paces it through an event, so cross-rank
+        decisions happen in the event queue's (time, creation) order.
+        Transfers that cross a limited resource walk their route through a
+        FIFO resource micro-model driven by the same heap -- faithful to the
+        DES's sequential acquisition and FIFO grants, with only
+        same-instant tie order approximated -- so the result carries the
+        platform's ``max_relative_error`` bound instead of exactness.
+        Proven contention-free cells never come here: :func:`lane_walk`
+        replays them exactly.
         """
-        plan = self.window_plan
         platform = self.platform
-        env = self.env
         num_ranks = self.trace.num_ranks
         ops_by_rank = prepared.ops
         collect = self.collect_timeline
@@ -621,23 +600,9 @@ class ReplayEngine:
         collectives: List[_FastCollective] = []
         pending_sends: Dict[Tuple[int, int, int], Any] = {}
         pending_recvs: Dict[Tuple[int, int, int], Any] = {}
-        #: Per-(src, dst, tag) creation counter: assigns each message its
-        #: FIFO pair index (a time-independent identity).
-        pair_index: Dict[Tuple[int, int, int], int] = {}
-        #: Proven cells emit network statistics in canonical (src, dst,
-        #: tag, pair index) order instead of completion order: transfers
-        #: are buffered as (src, dst, tag, order, size, duration, route)
-        #: -- route None for intranode -- and flushed sorted at the end.
-        #: The float sums per transfer are unchanged; only the global
-        #: accumulation order is, which moves aggregate means by at most
-        #: an ulp but makes them independent of which replay path (scalar
-        #: or grid-vectorized) produced them.
-        stat_buffer: List[Tuple[Any, ...]] = []
         #: FIFO resource model for contended transfers, mirroring
         #: repro.des.resources.Resource: limited resource ->
         #: [capacity, active holds, FIFO deque of parked _TransferTask].
-        #: Empty on proven cells (no limited resource is ever crossed), so
-        #: the exactness argument never meets it.
         busy: Dict[Any, List[Any]] = {}
         #: (src_node, dst_node) -> True when the route crosses no limited
         #: resource, i.e. its transfers have a closed (bit-exact) form.
@@ -649,23 +614,14 @@ class ReplayEngine:
         #: (wire-crossing ends, rank wake-ups), and `seq` plays the event
         #: id -- allocated at creation, so same-instant ties break in
         #: creation order, as the DES eid does.  The payload never takes
-        #: part in a comparison because seq is unique.
+        #: part in a comparison because seq is unique.  A continuation
+        #: that no other entry could precede runs inline (its seq is
+        #: allocated either way, preserving creation-order ids).
         heap: List[Any] = [(0.0, 0, rank, rank) for rank in range(num_ranks)]
         event_seq = num_ranks
         done = [False] * num_ranks
-        finished = 0
         matched = 0
         contended = 0
-        # On a fully proven cell the advance order cannot change any number
-        # (all recurrences are max/+ forms), so ranks run to their next
-        # block fully inline.  On contended cells resource grants are FIFO
-        # in request order, so every clock advance -- a CPU burst, an
-        # overhead charge, a collective exit -- is paced through the heap
-        # exactly as the DES paces it through a timeout: the continuation
-        # is scheduled with a sequence number allocated now, and every
-        # cross-rank ordering decision happens in global (time, creation)
-        # order, the event queue's order.
-        use_bound = plan.proven_windows != plan.num_windows
         #: True while a rank's next op already paid its mpi_overhead charge
         #: (the paced continuation resumes at the op itself).
         overhead_pending = [False] * num_ranks
@@ -724,7 +680,7 @@ class ReplayEngine:
 
         def finish_message(message: _FastMessage, arrival: float) -> None:
             """The transfer is complete: publish the arrival instant and
-            notify (or directly wake) the ranks parked on this message."""
+            schedule the notification of the ranks parked on it."""
             nonlocal event_seq
             message.arrival = arrival
             if collect:
@@ -732,23 +688,14 @@ class ReplayEngine:
                     src=message.src, dst=message.dst, size=message.size,
                     tag=message.tag, send_time=message.transfer_start,
                     recv_time=arrival)
-            if use_bound:
-                # The DES delivers completion as a chain of NORMAL events:
-                # the `arrived` notification pops one generation after the
-                # wire end, and the rendezvous sender's send_complete one
-                # generation after that.  Pace the notifications
-                # identically, so multi-rank wake-ups at one instant order
-                # the way the event backend orders them.
-                event_seq += 1
-                heappush(heap, (arrival, 1, event_seq, ("arr", message)))
-                return
-            waiters = message.waiters
-            if not waiters:
-                return
-            message.waiters = []
-            for _side, waiter in waiters:
-                wake_rank(waiter, arrival)
-
+            # The DES delivers completion as a chain of NORMAL events: the
+            # `arrived` notification pops one generation after the wire
+            # end, and the rendezvous sender's send_complete one generation
+            # after that.  Pace the notifications identically, so
+            # multi-rank wake-ups at one instant order the way the event
+            # backend orders them.
+            event_seq += 1
+            heappush(heap, (arrival, 1, event_seq, ("arr", message)))
         def advance_transfer(task: _TransferTask, now: float) -> None:
             """One DES pop's worth of progress for a contended transfer.
 
@@ -845,14 +792,15 @@ class ReplayEngine:
                     return
                 now = end
 
+
         def resolve(message: _FastMessage) -> None:
             """Both postings exist: launch (or complete) the transfer.
 
             Mirrors ``NetworkFabric._transfer``: the transfer starts at
             the match instant; intranode bypasses the network; an
             internode route with no limited resource chains
-            ``latency + size/bw`` per hop in closed form (bit-exact --
-            ``InfiniteResource`` grants take no DES time); a route with
+            ``latency + size/bw`` per hop in closed form
+            (``InfiniteResource`` grants take no DES time); a route with
             limited resources walks hop by hop through the FIFO model via
             the ready heap, so its arrival is computed later and blocking
             ranks park on the message meanwhile.
@@ -871,11 +819,7 @@ class ReplayEngine:
             if src_node == dst_node:
                 duration = intranode_time(size, intranode=True)
                 message.transfer_start = start
-                if use_bound:
-                    record_stat(size, 0.0, duration, True)
-                else:
-                    stat_buffer.append((message.src, message.dst, message.tag,
-                                        message.order, size, duration, None))
+                record_stat(size, 0.0, duration, True)
                 arrival = start + duration
             else:
                 route = route_of(src_node, dst_node)
@@ -903,25 +847,16 @@ class ReplayEngine:
                     duration += hop_duration
                     ready = ready + hop_duration
                 message.transfer_start = start
-                if use_bound:
-                    for hop in route:
-                        record_hop(hop.name, 0.0)
-                    record_stat(size, 0.0, duration, False)
-                else:
-                    stat_buffer.append((message.src, message.dst, message.tag,
-                                        message.order, size, duration, route))
+                for hop in route:
+                    record_hop(hop.name, 0.0)
+                record_stat(size, 0.0, duration, False)
                 arrival = ready
-            if use_bound:
-                # Contended cell: pace even the closed-form completion
-                # through the heap (the DES delivers it as a wire-end
-                # timeout whose id was allocated at the transfer start),
-                # so its wake-ups tie-break against in-flight contended
-                # transfers the way the event backend's do.
-                event_seq += 1
-                heappush(heap, (arrival, 1, event_seq,
-                                ("fin", message, arrival)))
-            else:
-                finish_message(message, arrival)
+            # Pace even the closed-form completion through the heap (the
+            # DES delivers it as a wire-end timeout whose id was allocated
+            # at the transfer start), so its wake-ups tie-break against
+            # in-flight contended transfers the way the event backend's do.
+            event_seq += 1
+            heappush(heap, (arrival, 1, event_seq, ("fin", message, arrival)))
 
         while heap:
             entry = heappop(heap)
@@ -965,18 +900,13 @@ class ReplayEngine:
                     if collect:
                         add_interval(rank, t, t2, state_running)
                     pc += 1
-                    if use_bound:
-                        # The burst is a NORMAL timeout in the DES: pace
-                        # the continuation through the heap -- unless no
-                        # other event can pop before it, in which case the
-                        # walk continues inline (the seq is allocated
-                        # either way, preserving creation-order ids).
-                        event_seq += 1
-                        if heap and heap[0] < (t2, 1, event_seq):
-                            pcs[rank] = pc
-                            heappush(heap, (t2, 1, event_seq, rank))
-                            running = False
-                            break
+                    # The burst is a NORMAL timeout in the DES.
+                    event_seq += 1
+                    if heap and heap[0] < (t2, 1, event_seq):
+                        pcs[rank] = pc
+                        heappush(heap, (t2, 1, event_seq, rank))
+                        running = False
+                        break
                     t = t2
                     continue
                 if has_overhead:
@@ -987,16 +917,15 @@ class ReplayEngine:
                         overhead_t[rank] += t2 - t
                         if collect:
                             add_interval(rank, t, t2, state_running)
-                        if use_bound:
-                            # Pace the overhead charge too; the op itself
-                            # runs at the wake-up.
-                            event_seq += 1
-                            if heap and heap[0] < (t2, 1, event_seq):
-                                overhead_pending[rank] = True
-                                pcs[rank] = pc
-                                heappush(heap, (t2, 1, event_seq, rank))
-                                running = False
-                                break
+                        # Pace the overhead charge too; the op itself runs
+                        # at the wake-up.
+                        event_seq += 1
+                        if heap and heap[0] < (t2, 1, event_seq):
+                            overhead_pending[rank] = True
+                            pcs[rank] = pc
+                            heappush(heap, (t2, 1, event_seq, rank))
+                            running = False
+                            break
                         t = t2
                 if op == OP_SEND:
                     key = (rank, record.dst, record.tag)
@@ -1004,10 +933,7 @@ class ReplayEngine:
                     if queue:
                         message = queue.popleft()
                     else:
-                        order = pair_index.get(key, 0)
-                        pair_index[key] = order + 1
-                        message = _FastMessage(rank, record.dst, record.tag,
-                                               order)
+                        message = _FastMessage(rank, record.dst, record.tag)
                         pending = pending_sends.get(key)
                         if pending is None:
                             pending = pending_sends[key] = deque()
@@ -1026,30 +952,28 @@ class ReplayEngine:
                         if record.blocking:
                             if collect:
                                 add_interval(rank, t, t, state_send_wait)
-                            if use_bound:
-                                # The DES sender still parks one generation
-                                # on the (already succeeded) send_complete
-                                # event's pop.
-                                event_seq += 1
-                                if heap and heap[0] < (t, 1, event_seq):
-                                    pcs[rank] = pc + 1
-                                    heappush(heap, (t, 1, event_seq, rank))
-                                    running = False
-                                    break
+                            # The DES sender still parks one generation on
+                            # the (already succeeded) send_complete event's
+                            # pop.
+                            event_seq += 1
+                            if heap and heap[0] < (t, 1, event_seq):
+                                pcs[rank] = pc + 1
+                                heappush(heap, (t, 1, event_seq, rank))
+                                running = False
+                                break
                         else:
                             reqs[record.request] = ("send", message, pc)
                     else:
                         if message.recv_posted:
                             resolve(message)
                         if record.blocking:
-                            arrival = message.arrival
-                            if arrival is None or (
-                                    use_bound and not message.s_notified):
+                            if not message.s_notified:
                                 message.waiters.append(("s", rank))
                                 pending_states[rank] = ("send", message, t)
                                 pcs[rank] = pc
                                 running = False
                                 break
+                            arrival = message.arrival
                             t2 = arrival if arrival > t else t
                             send_wait_t[rank] += t2 - t
                             if collect:
@@ -1063,10 +987,7 @@ class ReplayEngine:
                     if queue:
                         message = queue.popleft()
                     else:
-                        order = pair_index.get(key, 0)
-                        pair_index[key] = order + 1
-                        message = _FastMessage(record.src, rank, record.tag,
-                                               order)
+                        message = _FastMessage(record.src, rank, record.tag)
                         pending = pending_recvs.get(key)
                         if pending is None:
                             pending = pending_recvs[key] = deque()
@@ -1079,14 +1000,13 @@ class ReplayEngine:
                             and not message.eager):
                         resolve(message)
                     if record.blocking:
-                        arrival = message.arrival
-                        if arrival is None or (
-                                use_bound and not message.r_notified):
+                        if not message.r_notified:
                             message.waiters.append(("r", rank))
                             pending_states[rank] = ("recv", message, t)
                             pcs[rank] = pc
                             running = False
                             break
+                        arrival = message.arrival
                         t2 = arrival if arrival > t else t
                         recv_wait_t[rank] += t2 - t
                         if collect:
@@ -1108,13 +1028,12 @@ class ReplayEngine:
                                 )) from None
                             items.append((side, message))
                             # Eager sends complete at their posting; every
-                            # other request completes at the arrival, which
-                            # may not be computed yet.
+                            # other request completes at its notification,
+                            # which may not have popped yet.
                             if side == "send" and message.eager:
                                 continue
-                            if message.arrival is None or (use_bound and not (
-                                    message.s_notified if side == "send"
-                                    else message.r_notified)):
+                            if not (message.s_notified if side == "send"
+                                    else message.r_notified):
                                 park = ("s" if side == "send" else "r",
                                         message)
                                 if unresolved is None:
@@ -1139,16 +1058,15 @@ class ReplayEngine:
                         request_wait_t[rank] += t2 - t
                         if collect:
                             add_interval(rank, t, t2, state_request_wait)
-                        if use_bound:
-                            # A fully satisfied wait still pops once in the
-                            # DES (_WaitAll succeeds at construction, the
-                            # process resumes at its pop).
-                            event_seq += 1
-                            if heap and heap[0] < (t2, 1, event_seq):
-                                pcs[rank] = pc + 1
-                                heappush(heap, (t2, 1, event_seq, rank))
-                                running = False
-                                break
+                        # A fully satisfied wait still pops once in the DES
+                        # (_WaitAll succeeds at construction, the process
+                        # resumes at its pop).
+                        event_seq += 1
+                        if heap and heap[0] < (t2, 1, event_seq):
+                            pcs[rank] = pc + 1
+                            heappush(heap, (t2, 1, event_seq, rank))
+                            running = False
+                            break
                         t = t2
                 elif op == OP_COLLECTIVE:
                     # The classifier already proved cross-rank agreement on
@@ -1180,6 +1098,10 @@ class ReplayEngine:
                         collective_t[rank] += exit_time - t
                         if collect:
                             add_interval(rank, t, exit_time, state_collective)
+                        # Every rank resumes at the all_arrived pop in
+                        # callback-registration order: the waiters in entry
+                        # order, the last entrant (who registered after
+                        # succeeding the event) last.
                         for waiter, t0 in instance.waiters:
                             collective_t[waiter] += exit_time - t0
                             if collect:
@@ -1190,19 +1112,11 @@ class ReplayEngine:
                             event_seq += 1
                             heappush(heap, (exit_time, 1, event_seq, waiter))
                         instance.waiters = []
-                        if use_bound:
-                            # On contended cells the departures are paced
-                            # through the heap in the DES's resume order:
-                            # every rank resumes at the all_arrived pop in
-                            # callback-registration order -- the waiters in
-                            # entry order, the last entrant (who registered
-                            # after succeeding the event) last.
-                            pcs[rank] = pc + 1
-                            event_seq += 1
-                            heappush(heap, (exit_time, 1, event_seq, rank))
-                            running = False
-                            break
-                        t = exit_time
+                        pcs[rank] = pc + 1
+                        event_seq += 1
+                        heappush(heap, (exit_time, 1, event_seq, rank))
+                        running = False
+                        break
                     else:
                         if t > instance.last:
                             instance.last = t
@@ -1221,41 +1135,16 @@ class ReplayEngine:
                 pcs[rank] = pc
                 finish_t[rank] = t
                 done[rank] = True
-                finished += 1
 
-        if finished < num_ranks:
+        if not all(done):
             # Unreachable when the classifier's symbolic-matchability proof
             # holds; kept so an inconsistency surfaces as the engine's
             # standard deadlock report instead of silent wrong numbers.
-            details = []
-            for rank in range(num_ranks):
-                if done[rank]:
-                    continue
-                position = pcs[rank]
-                records = self.trace[rank].records
-                record = records[position] if position < len(records) else None
-                details.append(
-                    f"rank {rank} stuck at record {position} ({record!r})")
-            unmatched = {
-                "sends": sum(len(q) for q in pending_sends.values()),
-                "recvs": sum(len(q) for q in pending_recvs.values()),
-            }
-            raise SimulationError(
-                "replay deadlocked: " + "; ".join(details)
-                + f"; unmatched postings: {unmatched}")
-
-        if not use_bound:
-            # Canonical network-statistics flush.  The first four elements
-            # (src, dst, tag, pair index) are unique per transfer, so the
-            # plain tuple sort never compares routes.
-            stat_buffer.sort()
-            for _src, _dst, _tag, _order, size, duration, route in stat_buffer:
-                if route is None:
-                    record_stat(size, 0.0, duration, True)
-                else:
-                    for hop in route:
-                        record_hop(hop.name, 0.0)
-                    record_stat(size, 0.0, duration, False)
+            raise _deadlock(
+                self.trace,
+                [(rank, pcs[rank]) for rank in range(num_ranks)
+                 if not done[rank]],
+                _unmatched(pending_sends, pending_recvs))
 
         stats = self.stats
         for rank in range(num_ranks):
@@ -1274,5 +1163,613 @@ class ReplayEngine:
             rank_stats.collectives = collectives_a[rank]
         self._progress = pcs
         self.matcher.messages_matched = matched
-        env.advance_to(max(finish_t, default=0.0))
+        self.env.advance_to(max(finish_t, default=0.0))
         return contended
+
+
+def adaptive_summary(plan: WindowPlan, platform: Platform,
+                     grid_width: Optional[int] = None) -> Dict[str, Any]:
+    """How the adaptive backend ran one cell (``metadata["adaptive"]``).
+
+    Mode (fast-forward or DES fallback with its reason), window counts,
+    contended transfers (0 until the paced mode reports its count) and the
+    error bound the numbers carry: 0.0 for a proven lane walk and for the
+    exact DES fallback, the platform's ``max_relative_error`` for the
+    paced mode.  ``grid_width`` marks a result produced as one lane of a
+    sweep cohort.
+    """
+    summary: Dict[str, Any] = {"backend": "adaptive"}
+    if plan.fast_forward:
+        summary["mode"] = "fast-forward"
+        exact = plan.proven_exact
+    else:
+        summary["mode"] = "des-fallback"
+        summary["fallback_reason"] = plan.reason
+        exact = True
+    summary.update(
+        windows=plan.num_windows,
+        proven_windows=plan.proven_windows,
+        network_uncontended=plan.network_uncontended,
+        proven_exact=exact,
+        contended_transfers=0,
+        max_relative_error=platform.max_relative_error,
+        error_bound=0.0 if exact else platform.max_relative_error)
+    if grid_width is not None:
+        summary["grid_width"] = grid_width
+    return summary
+
+
+def network_summary(statistics: NetworkStatistics, matched: int,
+                    platform: Platform) -> Dict[str, Any]:
+    """The network-statistics dict of one replayed cell."""
+    summary = dict(statistics.summary())
+    summary["messages_matched"] = matched
+    summary["topology"] = platform.topology.kind
+    summary["hop_queue_time"] = dict(statistics.hop_queue_time)
+    summary["hop_transfers"] = dict(statistics.hop_transfers)
+    return summary
+
+
+def _unmatched(pending_sends: Dict[Any, Any],
+               pending_recvs: Dict[Any, Any]) -> Dict[str, int]:
+    return {"sends": sum(len(queue) for queue in pending_sends.values()),
+            "recvs": sum(len(queue) for queue in pending_recvs.values())}
+
+
+def _deadlock(trace: Trace, stuck: Iterable[Tuple[int, int]],
+              unmatched: Dict[str, int]) -> SimulationError:
+    """The deadlock report of every interpreter.
+
+    ``stuck`` lists (rank, record position) of the ranks that never
+    finished; the report names each rank, its position and the record
+    there, plus the postings that never found a partner.
+    """
+    details = []
+    for rank, position in stuck:
+        records = trace[rank].records
+        record = records[position] if position < len(records) else None
+        details.append(f"rank {rank} stuck at record {position} ({record!r})")
+    return SimulationError(
+        "replay deadlocked: " + "; ".join(details)
+        + f"; unmatched postings: {unmatched}")
+
+
+class _LaneMessage:
+    """Message state of the lane walk: scalar identity, lane-vector times.
+
+    ``seq`` numbers the messages in creation order.  Matching is FIFO per
+    ``(src, dst, tag)``, so within a key creation order IS pair order, and
+    ``(src, dst, tag, seq)`` sorts the transfers canonically.
+    """
+
+    __slots__ = ("src", "dst", "tag", "seq", "size", "eager", "send_posted",
+                 "recv_posted", "send_time", "recv_time", "arrival",
+                 "waiters")
+
+    def __init__(self, src: int, dst: int, tag: int, seq: int):
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.seq = seq
+        self.size = 0
+        self.eager = False
+        self.send_posted = False
+        self.recv_posted = False
+        self.send_time: Optional[List[float]] = None
+        self.recv_time: Optional[List[float]] = None
+        self.arrival: Optional[List[float]] = None
+        self.waiters: List[Tuple[str, int]] = []
+
+
+class _LaneCollective:
+    """Collective state of the lane walk (lane-vector ``last``)."""
+
+    __slots__ = ("operation", "root", "size", "count", "last", "waiters")
+
+    def __init__(self, operation: str, root: int, size: int, width: int):
+        self.operation = operation
+        self.root = root
+        self.size = size
+        self.count = 0
+        self.last = [0.0] * width
+        self.waiters: List[Tuple[int, List[float]]] = []
+
+
+def lane_walk(trace: Trace, platforms: Sequence[Platform],
+              models: Optional[Sequence[Any]] = None,
+              timeline: Optional[Timeline] = None,
+              ) -> List[Tuple[float, List[RankStats], Dict[str, Any]]]:
+    """Exact closed-form replay of proven cells, one clock lane per platform.
+
+    Every platform must be a cell the window classifier proved
+    contention-free (``WindowPlan.proven_exact``), and all of them must
+    share the structural axes of
+    :func:`repro.dimemas.gridreplay.cohort_signature`.  On such cells the
+    DES's control flow -- which rank blocks where, which send matches
+    which receive, which collective completes when (in program order, not
+    in time) -- reads no clock, matching is FIFO per ``(src, dst, tag)``
+    key, and every time recurrence is a max/+ form, so the order in which
+    runnable ranks advance cannot change any number.  One walk over the
+    prepared record streams therefore serves every platform, carrying a
+    vector of clocks -- one lane per platform -- through the exact float
+    expressions of :meth:`ReplayEngine._rank_process`: same operands, same
+    operations, same program order per lane, hence each lane is
+    bit-identical to the DES replay of its cell.
+
+    ``models`` are the platforms' network models (built on the spot when
+    omitted; on proven cells no resource is ever contended, so only their
+    routes and hop durations are read).  ``timeline`` records the state
+    intervals and communications of a width-1 walk.  Network statistics
+    are emitted in the canonical ``(src, dst, tag, pair index)`` order, so
+    aggregate means do not depend on the walk's width.
+
+    Returns ``(total_time, rank statistics, network statistics)`` per
+    platform, in order.
+    """
+    width = len(platforms)
+    if timeline is not None and width != 1:
+        raise SimulationError(
+            f"a lane walk records a timeline only at width 1, not {width}")
+    lanes = range(width)
+    num_ranks = trace.num_ranks
+    ops_by_rank = trace.prepared().ops
+    reference = platforms[0]
+    ppn = reference.processors_per_node
+    eager_threshold = reference.eager_threshold
+    instructions_per_second = TimeBase(trace.mips).instructions_per_second
+    # Same float expression as TimeBase.seconds(), for bit-identical
+    # burst durations.
+    denominators = [instructions_per_second * platform.relative_cpu_speed
+                    for platform in platforms]
+    overheads = [platform.mpi_overhead for platform in platforms]
+    has_overhead = any(overhead > 0.0 for overhead in overheads)
+    if models is None:
+        models = [build_network_model(Environment(), platform, num_ranks)
+                  for platform in platforms]
+    collect = timeline is not None
+    if collect:
+        add_interval = timeline.add_interval
+        add_communication = timeline.add_communication
+    state_running = ThreadState.RUNNING
+    state_send_wait = ThreadState.SEND_WAIT
+    state_recv_wait = ThreadState.RECV_WAIT
+    state_request_wait = ThreadState.REQUEST_WAIT
+    state_collective = ThreadState.COLLECTIVE
+
+    intranode_memo: Dict[int, List[float]] = {}
+    internode_memo: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
+    burst_memo: Dict[Any, List[float]] = {}
+    collective_memo: Dict[Tuple[str, int], List[float]] = {}
+
+    def internode_durations(src_node: int, dst_node: int, size: int):
+        """(route, per-lane total duration, per-lane per-hop durations)."""
+        totals: List[float] = []
+        per_hop: List[Tuple[float, ...]] = []
+        for model in models:
+            duration = 0.0
+            hops: List[float] = []
+            for hop in model.route(src_node, dst_node):
+                hop_duration = hop.transfer_time(size)
+                duration += hop_duration
+                hops.append(hop_duration)
+            totals.append(duration)
+            per_hop.append(tuple(hops))
+        entry = internode_memo[(src_node, dst_node, size)] = (
+            models[0].route(src_node, dst_node), totals, per_hop)
+        return entry
+
+    # Lane-vector accumulators: [rank][lane].  The integer counters are
+    # structural (identical across lanes), so they stay scalar.
+    compute_t = [[0.0] * width for _ in range(num_ranks)]
+    overhead_t = [[0.0] * width for _ in range(num_ranks)]
+    send_wait_t = [[0.0] * width for _ in range(num_ranks)]
+    recv_wait_t = [[0.0] * width for _ in range(num_ranks)]
+    request_wait_t = [[0.0] * width for _ in range(num_ranks)]
+    collective_t = [[0.0] * width for _ in range(num_ranks)]
+    finish_vecs: List[Any] = [None] * num_ranks
+    bytes_sent_a = [0] * num_ranks
+    msgs_sent_a = [0] * num_ranks
+    bytes_recv_a = [0] * num_ranks
+    msgs_recv_a = [0] * num_ranks
+    collectives_a = [0] * num_ranks
+
+    pcs = [0] * num_ranks
+    lens = [len(rank_ops) for rank_ops in ops_by_rank]
+    clocks: List[List[float]] = [[0.0] * width for _ in range(num_ranks)]
+    #: None = runnable/running; otherwise the blocked state:
+    #: ("send"|"recv", message, t0), ["wait", items, t0, remaining]
+    #: or ("collective",).
+    pending_states: List[Any] = [None] * num_ranks
+    requests_by_rank: List[Dict[int, Tuple[str, _LaneMessage, int]]] = [
+        {} for _ in range(num_ranks)]
+    coll_next = [0] * num_ranks
+    collectives: List[_LaneCollective] = []
+    pending_sends: Dict[Tuple[int, int, int], Any] = {}
+    pending_recvs: Dict[Tuple[int, int, int], Any] = {}
+    created = 0
+    #: (src, dst, tag, seq, size, per-lane durations, route) per resolved
+    #: transfer -- route None for intranode.  The statistics are recorded
+    #: in this canonical order at the end, so aggregate means do not
+    #: depend on the order in which the walk resolves transfers.
+    transfers: List[Tuple[Any, ...]] = []
+    runnable = deque(range(num_ranks))
+    done = [False] * num_ranks
+    matched = 0
+
+    def wake_rank(waiter: int, arrival: List[float]) -> None:
+        state = pending_states[waiter]
+        kind = state[0]
+        if kind == "wait":
+            state[3] -= 1
+            if state[3]:
+                return
+            t0 = state[2]
+            t2 = t0[:]
+            for side, message in state[1]:
+                completion = (message.send_time
+                              if side == "send" and message.eager
+                              else message.arrival)
+                for i in lanes:
+                    if completion[i] > t2[i]:
+                        t2[i] = completion[i]
+            row = request_wait_t[waiter]
+            wait_state = state_request_wait
+        else:
+            t0 = state[2]
+            t2 = t0[:]
+            for i in lanes:
+                if arrival[i] > t2[i]:
+                    t2[i] = arrival[i]
+            if kind == "recv":
+                row = recv_wait_t[waiter]
+                wait_state = state_recv_wait
+            else:  # "send" (blocking rendezvous)
+                row = send_wait_t[waiter]
+                wait_state = state_send_wait
+        for i in lanes:
+            row[i] += t2[i] - t0[i]
+        if collect:
+            add_interval(waiter, t0[0], t2[0], wait_state)
+        pending_states[waiter] = None
+        pcs[waiter] += 1
+        clocks[waiter] = t2
+        runnable.append(waiter)
+
+    def resolve(message: _LaneMessage) -> None:
+        """Both postings exist: complete the transfer in closed form and
+        wake the ranks parked on it."""
+        nonlocal matched
+        matched += 1
+        size = message.size
+        start = message.send_time
+        if not message.eager:
+            # The later posting starts a rendezvous transfer.
+            start = start[:]
+            recv_time = message.recv_time
+            for i in lanes:
+                if recv_time[i] > start[i]:
+                    start[i] = recv_time[i]
+        src_node = message.src // ppn
+        dst_node = message.dst // ppn
+        if src_node == dst_node:
+            durations = intranode_memo.get(size)
+            if durations is None:
+                durations = intranode_memo[size] = [
+                    platform.transfer_time(size, intranode=True)
+                    for platform in platforms]
+            route = None
+            arrival = start[:]
+            for i in lanes:
+                arrival[i] = start[i] + durations[i]
+        else:
+            entry = internode_memo.get((src_node, dst_node, size))
+            if entry is None:
+                entry = internode_durations(src_node, dst_node, size)
+            route, durations, per_hop = entry
+            # Hop by hop, as the DES chains the wire timeouts.
+            arrival = []
+            for i in lanes:
+                ready = start[i]
+                for hop_duration in per_hop[i]:
+                    ready = ready + hop_duration
+                arrival.append(ready)
+        message.arrival = arrival
+        transfers.append((message.src, message.dst, message.tag, message.seq,
+                          size, durations, route))
+        if collect:
+            add_communication(
+                src=message.src, dst=message.dst, size=size,
+                tag=message.tag, send_time=start[0], recv_time=arrival[0])
+        waiters = message.waiters
+        if waiters:
+            message.waiters = []
+            for _side, waiter in waiters:
+                wake_rank(waiter, arrival)
+
+    while runnable:
+        rank = runnable.popleft()
+        t = clocks[rank]
+        rank_ops = ops_by_rank[rank]
+        n = lens[rank]
+        pc = pcs[rank]
+        reqs = requests_by_rank[rank]
+        running = True
+        while pc < n:
+            op, record = rank_ops[pc]
+            if op == OP_CPU:
+                instructions = record.instructions
+                durations = burst_memo.get(instructions)
+                if durations is None:
+                    durations = burst_memo[instructions] = [
+                        instructions / denominator
+                        for denominator in denominators]
+                t2 = t[:]
+                row = compute_t[rank]
+                for i in lanes:
+                    begin = t[i]
+                    end = t2[i] = begin + durations[i]
+                    row[i] += end - begin
+                if collect:
+                    add_interval(rank, t[0], t2[0], state_running)
+                t = t2
+                pc += 1
+                continue
+            if has_overhead:
+                t2 = t[:]
+                row = overhead_t[rank]
+                for i in lanes:
+                    begin = t[i]
+                    end = t2[i] = begin + overheads[i]
+                    row[i] += end - begin
+                if collect:
+                    add_interval(rank, t[0], t2[0], state_running)
+                t = t2
+            if op == OP_SEND:
+                key = (rank, record.dst, record.tag)
+                queue = pending_recvs.get(key)
+                if queue:
+                    message = queue.popleft()
+                else:
+                    message = _LaneMessage(rank, record.dst, record.tag,
+                                           created)
+                    created += 1
+                    pending = pending_sends.get(key)
+                    if pending is None:
+                        pending = pending_sends[key] = deque()
+                    pending.append(message)
+                size = record.size
+                message.size = size
+                message.send_posted = True
+                message.send_time = t
+                bytes_sent_a[rank] += size
+                msgs_sent_a[rank] += 1
+                if size <= eager_threshold:
+                    message.eager = True
+                    # Eager transfers launch at the send posting; the
+                    # sender is complete immediately.
+                    resolve(message)
+                    if not record.blocking:
+                        reqs[record.request] = ("send", message, pc)
+                else:
+                    if message.recv_posted:
+                        resolve(message)
+                    if record.blocking:
+                        arrival = message.arrival
+                        if arrival is None:
+                            message.waiters.append(("s", rank))
+                            pending_states[rank] = ("send", message, t)
+                            pcs[rank] = pc
+                            running = False
+                            break
+                        t2 = t[:]
+                        row = send_wait_t[rank]
+                        for i in lanes:
+                            if arrival[i] > t2[i]:
+                                t2[i] = arrival[i]
+                            row[i] += t2[i] - t[i]
+                        if collect:
+                            add_interval(rank, t[0], t2[0], state_send_wait)
+                        t = t2
+                    else:
+                        reqs[record.request] = ("send", message, pc)
+            elif op == OP_RECV:
+                key = (record.src, rank, record.tag)
+                queue = pending_sends.get(key)
+                if queue:
+                    message = queue.popleft()
+                else:
+                    message = _LaneMessage(record.src, rank, record.tag,
+                                           created)
+                    created += 1
+                    pending = pending_recvs.get(key)
+                    if pending is None:
+                        pending = pending_recvs[key] = deque()
+                    pending.append(message)
+                message.recv_posted = True
+                message.recv_time = t
+                bytes_recv_a[rank] += record.size
+                msgs_recv_a[rank] += 1
+                if (message.send_posted and message.arrival is None
+                        and not message.eager):
+                    resolve(message)
+                if record.blocking:
+                    arrival = message.arrival
+                    if arrival is None:
+                        message.waiters.append(("r", rank))
+                        pending_states[rank] = ("recv", message, t)
+                        pcs[rank] = pc
+                        running = False
+                        break
+                    t2 = t[:]
+                    row = recv_wait_t[rank]
+                    for i in lanes:
+                        if arrival[i] > t2[i]:
+                            t2[i] = arrival[i]
+                        row[i] += t2[i] - t[i]
+                    if collect:
+                        add_interval(rank, t[0], t2[0], state_recv_wait)
+                    t = t2
+                else:
+                    reqs[record.request] = ("recv", message, pc)
+            elif op == OP_WAIT:
+                if record.requests:
+                    items = []
+                    unresolved = None
+                    for request_id in record.requests:
+                        try:
+                            side, message, _ = reqs.pop(request_id)
+                        except KeyError:
+                            raise SimulationError(format_defect(
+                                "TL302", rank, pc,
+                                f"waits on unknown request {request_id}"
+                            )) from None
+                        items.append((side, message))
+                        # Eager sends complete at their posting; every
+                        # other request completes at the arrival, which
+                        # may not be computed yet.
+                        if side == "send" and message.eager:
+                            continue
+                        if message.arrival is None:
+                            park = ("s" if side == "send" else "r", message)
+                            if unresolved is None:
+                                unresolved = [park]
+                            else:
+                                unresolved.append(park)
+                    if unresolved:
+                        for park_side, message in unresolved:
+                            message.waiters.append((park_side, rank))
+                        pending_states[rank] = ["wait", items, t,
+                                                len(unresolved)]
+                        pcs[rank] = pc
+                        running = False
+                        break
+                    t2 = t[:]
+                    for side, message in items:
+                        completion = (message.send_time
+                                      if side == "send" and message.eager
+                                      else message.arrival)
+                        for i in lanes:
+                            if completion[i] > t2[i]:
+                                t2[i] = completion[i]
+                    row = request_wait_t[rank]
+                    for i in lanes:
+                        row[i] += t2[i] - t[i]
+                    if collect:
+                        add_interval(rank, t[0], t2[0], state_request_wait)
+                    t = t2
+            elif op == OP_COLLECTIVE:
+                # The classifier already proved cross-rank agreement on
+                # collective counts and parameters, so entry here only
+                # counts and synchronises.
+                index = coll_next[rank]
+                coll_next[rank] = index + 1
+                if index < len(collectives):
+                    instance = collectives[index]
+                else:
+                    instance = _LaneCollective(
+                        record.operation, record.root, record.size, width)
+                    collectives.append(instance)
+                collectives_a[rank] += 1
+                instance.count += 1
+                last = instance.last
+                for i in lanes:
+                    if t[i] > last[i]:
+                        last[i] = t[i]
+                if instance.count == num_ranks:
+                    key = (instance.operation, instance.size)
+                    durations = collective_memo.get(key)
+                    if durations is None:
+                        durations = collective_memo[key] = [
+                            collective_duration(instance.operation,
+                                                instance.size, num_ranks,
+                                                platform)
+                            for platform in platforms]
+                    # Float-replicates the DES departure: resume at the
+                    # last arrival, then timeout(finish - last) only if
+                    # positive.
+                    exit_time = []
+                    for i in lanes:
+                        arrived = last[i]
+                        remaining = (arrived + durations[i]) - arrived
+                        exit_time.append(arrived + remaining
+                                         if remaining > 0 else arrived)
+                    row = collective_t[rank]
+                    for i in lanes:
+                        row[i] += exit_time[i] - t[i]
+                    if collect:
+                        add_interval(rank, t[0], exit_time[0],
+                                     state_collective)
+                    for waiter, t0 in instance.waiters:
+                        waiter_row = collective_t[waiter]
+                        for i in lanes:
+                            waiter_row[i] += exit_time[i] - t0[i]
+                        if collect:
+                            add_interval(waiter, t0[0], exit_time[0],
+                                         state_collective)
+                        pending_states[waiter] = None
+                        pcs[waiter] += 1
+                        clocks[waiter] = exit_time
+                        runnable.append(waiter)
+                    instance.waiters = []
+                    t = exit_time
+                else:
+                    instance.waiters.append((rank, t))
+                    pending_states[rank] = ("collective",)
+                    pcs[rank] = pc
+                    running = False
+                    break
+            else:
+                raise SimulationError(
+                    f"rank {rank}: unknown record {record!r}")
+            pc += 1
+        if running:
+            if reqs:
+                ReplayEngine._leftover_requests(rank, reqs)
+            pcs[rank] = pc
+            finish_vecs[rank] = t
+            done[rank] = True
+
+    if not all(done):
+        # Unreachable when the classifier's matchability proof holds; kept
+        # so an inconsistency surfaces loudly instead of as wrong numbers.
+        raise _deadlock(
+            trace,
+            [(rank, pcs[rank]) for rank in range(num_ranks) if not done[rank]],
+            _unmatched(pending_sends, pending_recvs))
+
+    # (src, dst, tag, seq) is unique, so the sort never compares the lane
+    # payloads.
+    transfers.sort()
+
+    results = []
+    for i in lanes:
+        statistics = NetworkStatistics()
+        for _src, _dst, _tag, _seq, size, durations, route in transfers:
+            if route is None:
+                statistics.record(size, 0.0, durations[i], True)
+            else:
+                for hop in route:
+                    statistics.record_hop(hop.name, 0.0)
+                statistics.record(size, 0.0, durations[i], False)
+        rank_stats = []
+        total_time = 0.0
+        for rank in range(num_ranks):
+            stats = RankStats(rank=rank)
+            stats.compute_time = compute_t[rank][i]
+            stats.mpi_overhead_time = overhead_t[rank][i]
+            stats.send_wait_time = send_wait_t[rank][i]
+            stats.recv_wait_time = recv_wait_t[rank][i]
+            stats.request_wait_time = request_wait_t[rank][i]
+            stats.collective_time = collective_t[rank][i]
+            stats.finish_time = finish_vecs[rank][i]
+            stats.bytes_sent = bytes_sent_a[rank]
+            stats.messages_sent = msgs_sent_a[rank]
+            stats.bytes_received = bytes_recv_a[rank]
+            stats.messages_received = msgs_recv_a[rank]
+            stats.collectives = collectives_a[rank]
+            rank_stats.append(stats)
+            if stats.finish_time > total_time:
+                total_time = stats.finish_time
+        results.append((total_time, rank_stats, network_summary(
+            statistics, matched, platforms[i])))
+    return results

@@ -24,12 +24,16 @@ is the pre-replay pass that decides both, over the prepared record streams
   windows.  A window is *proven contention-free* when it moves no
   inter-node message (intra-node transfers bypass every network resource)
   or when the platform's network has no limited resource at all
-  (per-topology classification below).  Proven windows are replayed
-  bit-exactly by construction; contended windows are fast-forwarded with a
-  FIFO resource micro-model (faithful to the DES's sequential acquisition
-  and FIFO grants, with same-instant tie order approximated) whose
-  divergence the ``max_relative_error`` knob bounds (enforced by the
-  accuracy harness, ``benchmarks/bench_adaptive.py``).
+  (per-topology classification below).  A cell whose windows are all
+  proven (:attr:`WindowPlan.proven_exact`) is replayed bit-exactly by the
+  lane walk (:func:`repro.dimemas.replay.lane_walk`), per cell at width 1
+  or as one lane of a sweep cohort; a cell with contended windows runs
+  the paced mode (``ReplayEngine._run_paced``), whose FIFO resource
+  micro-model is faithful to the DES's sequential acquisition and FIFO
+  grants with same-instant tie order approximated, and whose divergence
+  the ``max_relative_error`` knob is meant to bound (checked by the
+  accuracy harness, ``benchmarks/bench_adaptive.py``; a few tie-heavy
+  cells are known to exceed it).
 
 Classification is cheap (one pass plus the symbolic replay) and memoized
 per trace content, so a bandwidth sweep classifies each trace once, not
@@ -57,8 +61,8 @@ class WindowPlan:
     when it is set and falls back to the exact DES rank loop (with
     ``reason`` explaining why) when it is not.  ``proven_exact`` asserts the
     fast-forwarded result is bit-identical to the event backend: every
-    window is contention-free, so the closed-form recurrences replicate the
-    DES float-for-float.
+    window is contention-free, so the lane walk's closed-form recurrences
+    replicate the DES float-for-float.
     """
 
     viable: bool

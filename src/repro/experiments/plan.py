@@ -364,7 +364,7 @@ def group_cohorts(tasks: Sequence[SweepTask], traces: Dict[str, Trace]
     :func:`repro.dimemas.gridreplay.cohort_signature`) become one
     :class:`CohortTask`; everything else stays a per-cell task.  A group is
     only batched when at least two of its members are proven exactly
-    fast-forwardable -- below that the vectorized walk has nothing to
+    fast-forwardable -- below that the shared lane walk has nothing to
     amortize, since non-proven members peel off to the per-cell path inside
     the batch anyway.
 

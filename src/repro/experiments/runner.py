@@ -42,7 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro.analysis import AnalysisReport, analyze_trace
 from repro.core.analysis import BandwidthSweep
-from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
+from repro.core.executor import (
+    SweepExecutor,
+    SweepTask,
+    SweepTaskResult,
+    _task_result,
+)
 from repro.core.mechanisms import OverlapMechanism
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
@@ -66,31 +71,6 @@ from repro.store.serde import result_kwargs
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import ApplicationModel
     from repro.core.environment import OverlapStudyEnvironment
-
-
-def _metrics_from_result(task: SweepTask, result: SimulationResult) -> SweepTaskResult:
-    """Scalar metrics of an already-replayed task (full-results mode)."""
-    network = result.network
-    return SweepTaskResult(
-        index=task.index,
-        variant=task.variant,
-        bandwidth_mbps=task.platform.bandwidth_mbps,
-        total_time=result.total_time,
-        communication_fraction=result.communication_fraction(),
-        max_compute_time=result.max_compute_time(),
-        elapsed_seconds=0.0,
-        worker_pid=os.getpid(),
-        point=task.point,
-        topology=task.platform.topology.kind,
-        collective_model=task.platform.collective_model.to_string(),
-        transfers=network.get("transfers", 0),
-        bytes_transferred=network.get("bytes_transferred", 0),
-        mean_queue_time=network.get("mean_queue_time", 0.0),
-        mean_transfer_time=network.get("mean_transfer_time", 0.0),
-        intranode_share=network.get("intranode_share", 0.0),
-        collective_transfers=network.get("collective_transfers", 0),
-        collective_bytes=network.get("collective_bytes", 0),
-        collective_share=network.get("collective_share", 0.0))
 
 
 def _result_from_payload(task: SweepTask, payload: Dict[str, object]
@@ -280,7 +260,7 @@ def run_experiment(spec: ExperimentSpec,
     # -- assemble ----------------------------------------------------------
     if full_results:
         simulation_results: Optional[Tuple[SimulationResult, ...]] = tuple(raw)
-        task_results = [_metrics_from_result(task, result)
+        task_results = [_task_result(task, result, 0.0)
                         for task, result in zip(plan.tasks, raw)]
     else:
         simulation_results = None

@@ -215,9 +215,13 @@ class ExperimentSpec:
                     f"(known: {sorted(PLATFORM_FIELDS)})")
         self._validate_platform()
         self._validate_chunking()
-        if self.jobs < 0:
+        # bool is an int subclass; a float or string count would be
+        # truncated or fail later.
+        if (isinstance(self.jobs, bool) or not isinstance(self.jobs, int)
+                or self.jobs < 0):
             raise ConfigurationError(
-                f"jobs must be >= 1 (or 0 for all cores), got {self.jobs!r}")
+                f"jobs must be an integer >= 1 (or 0 for all cores), "
+                f"got {self.jobs!r}")
 
     def _validate_platform(self) -> None:
         # Build the base platform now so a bad override value fails when

@@ -102,6 +102,12 @@ class TestExecutor:
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=-1)
 
+    @pytest.mark.parametrize("jobs", [2.7, 1.0, True, False, "2"])
+    def test_non_integer_jobs_rejected(self, jobs):
+        # Neither truncated (2.7 -> 2, True -> 1) nor a bare TypeError.
+        with pytest.raises(ConfigurationError, match="jobs must be an integer"):
+            SweepExecutor(jobs=jobs)
+
     def test_plan_covers_the_grid(self, environment, small_bt):
         spec = ExperimentSpec(apps=(small_bt.name,), bandwidths=BANDWIDTHS,
                               patterns=("ideal",))

@@ -28,10 +28,12 @@ from repro.core.executor import CohortTask, SweepTask
 from repro.dimemas import windows
 from repro.dimemas.gridreplay import cohort_signature, replay_cohort
 from repro.dimemas.platform import Platform
+from repro.dimemas.replay import lane_walk
 from repro.dimemas.simulator import DimemasSimulator
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SimulationError
 from repro.experiments import ExperimentSpec, run_experiment, runner
 from repro.experiments.plan import group_cohorts
+from repro.paraver.timeline import Timeline
 from repro.store import FileResultStore
 
 ALL_APPS = tuple(sorted(APPLICATIONS))
@@ -163,6 +165,14 @@ class TestMixedCohorts:
         platform = PROVEN["flat"]
         (got,) = replay_cohort(trace, [platform])
         _assert_cell_equal(got, _simulate(trace, platform))
+        assert got.metadata["adaptive"]["grid_width"] == 1
+
+    def test_timelines_only_at_width_one(self):
+        trace = _trace("nas-cg")
+        platforms = _cohort_of(PROVEN["flat"], (10.0, 100.0))
+        with pytest.raises(SimulationError, match="width 1"):
+            lane_walk(trace, platforms,
+                      timeline=Timeline(num_ranks=trace.num_ranks))
 
 
 class TestCohortGrouping:

@@ -31,6 +31,7 @@ from repro.core.chunking import FixedCountChunking
 from repro.core.environment import OverlapStudyEnvironment
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
+from repro.dimemas import replay
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.simulator import DimemasSimulator
@@ -182,6 +183,46 @@ class TestProvenWindowsExact:
     def test_ideal_network_bit_exact(self, app):
         engine = _assert_bit_exact(_trace(app), Platform.ideal_network())
         assert engine.adaptive_summary["proven_exact"] is True
+
+
+class TestInterpreterRouting:
+    """Proven cells run the lane walk, with or without a timeline; only
+    contended fast-forward cells run the paced mode."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        lane_walk = replay.lane_walk
+        run_paced = ReplayEngine._run_paced
+
+        def spy_walk(*args, **kwargs):
+            calls.append("lanes")
+            return lane_walk(*args, **kwargs)
+
+        def spy_paced(engine, prepared):
+            calls.append("paced")
+            return run_paced(engine, prepared)
+
+        monkeypatch.setattr(replay, "lane_walk", spy_walk)
+        monkeypatch.setattr(ReplayEngine, "_run_paced", spy_paced)
+        return calls
+
+    @pytest.mark.parametrize("collect_timeline", [True, False])
+    def test_proven_cells_walk_one_lane(self, calls, collect_timeline):
+        platform = PROVEN["tree:radix=2"].with_replay_backend("adaptive")
+        engine = ReplayEngine(_trace("nas-bt"), platform,
+                              collect_timeline=collect_timeline)
+        engine.run()
+        assert engine.window_plan.proven_exact
+        assert calls == ["lanes"]
+        assert "grid_width" not in engine.adaptive_summary
+
+    def test_contended_cells_are_paced(self, calls):
+        platform = CONTENDED["flat"].with_replay_backend("adaptive")
+        engine = ReplayEngine(_trace("nas-bt"), platform)
+        engine.run()
+        assert not engine.window_plan.proven_exact
+        assert calls == ["paced"]
 
 
 class TestAdaptiveMetadata:

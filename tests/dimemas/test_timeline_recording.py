@@ -4,13 +4,17 @@
 metric-only sweep tasks default to the null recorder, full-result
 executions (studies) always record, the experiment spec exposes
 ``collect_timelines``, and the interactive ``simulate`` path keeps
-recording by default.
+recording by default.  Recording never changes a number, in any of the
+adaptive backend's interpreters (lane walk, paced mode, DES fallback).
 """
 
 import pytest
 
+from repro.apps.registry import APPLICATIONS, create_application
 from repro.core.analysis import ORIGINAL
+from repro.core.chunking import FixedCountChunking
 from repro.core.environment import OverlapStudyEnvironment
+from repro.core.patterns import ComputationPattern
 from repro.core.executor import SweepExecutor, SweepTask
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
@@ -67,6 +71,86 @@ class TestEngineFlag:
         assert bare.timeline.intervals == []
         assert bare.total_time == recording.total_time
         assert bare.ranks == recording.ranks
+
+
+#: Adaptive cells per interpreter: proven cells run the lane walk, the
+#: contended ones the paced mode, decomposed collectives the DES fallback.
+_UNLIMITED = {"num_buses": 0, "input_links": 0, "output_links": 0}
+ADAPTIVE_CELLS = {
+    "proven": {
+        "flat": Platform(**_UNLIMITED),
+        "flat-ppn2": Platform(**_UNLIMITED, processors_per_node=2),
+        "tree-links0": Platform(topology="tree:radix=2,links=0"),
+        "tree-links0-ppn2": Platform(topology="tree:radix=2,links=0",
+                                     processors_per_node=2),
+        "torus-links0": Platform(topology="torus:links=0"),
+    },
+    "paced": {
+        "tree-links1-eager0": Platform(topology="tree:radix=2,links=1",
+                                       eager_threshold=0),
+        "torus-links1-ppn2": Platform(topology="torus:links=1",
+                                      processors_per_node=2),
+        "flat-links1": Platform(input_links=1, output_links=1),
+    },
+    "fallback": {
+        "decomposed": Platform(collective_model="decomposed"),
+    },
+}
+_ADAPTIVE_TRACES = {}
+
+
+def _adaptive_trace(app_name, variant):
+    key = (app_name, variant)
+    if key not in _ADAPTIVE_TRACES:
+        environment = OverlapStudyEnvironment(
+            chunking=FixedCountChunking(count=4))
+        trace = environment.trace(create_application(
+            app_name, num_ranks=4, iterations=2))
+        if variant == "ideal":
+            trace = environment.overlap(trace,
+                                        pattern=ComputationPattern.IDEAL)
+        _ADAPTIVE_TRACES[key] = trace
+    return _ADAPTIVE_TRACES[key]
+
+
+def _sorted_timeline(timeline):
+    intervals = sorted((i.rank, i.start, i.end, i.state.value)
+                       for i in timeline.intervals)
+    communications = sorted((c.src, c.dst, c.size, c.tag, c.send_time,
+                             c.recv_time) for c in timeline.communications)
+    return intervals, communications
+
+
+class TestAdaptiveTimelineContract:
+    """collect_timeline on/off is invisible in every adaptive interpreter."""
+
+    @pytest.mark.parametrize("cell", [
+        pytest.param((path, name), id=f"{path}-{name}")
+        for path, platforms in ADAPTIVE_CELLS.items() for name in platforms])
+    @pytest.mark.parametrize("variant", ["original", "ideal"])
+    @pytest.mark.parametrize("app_name", sorted(APPLICATIONS))
+    def test_recording_changes_no_number(self, app_name, variant, cell):
+        path, name = cell
+        trace = _adaptive_trace(app_name, variant)
+        platform = ADAPTIVE_CELLS[path][name].with_replay_backend("adaptive")
+        recording = ReplayEngine(trace, platform, collect_timeline=True)
+        time_on, stats_on, timeline, network_on = recording.run()
+        bare = ReplayEngine(trace, platform, collect_timeline=False)
+        time_off, stats_off, _, network_off = bare.run()
+        plan = recording.window_plan
+        assert path == ("proven" if plan.proven_exact else
+                        "paced" if plan.fast_forward else "fallback")
+        assert time_on == time_off
+        assert stats_on == stats_off
+        assert network_on == network_off
+        assert recording.adaptive_summary == bare.adaptive_summary
+        if path == "proven":
+            # The lane walk records what the event backend records.
+            event = ReplayEngine(trace, platform.with_replay_backend("event"))
+            _, _, event_timeline, _ = event.run()
+            assert timeline.intervals
+            assert (_sorted_timeline(timeline)
+                    == _sorted_timeline(event_timeline))
 
 
 class TestExecutorWiring:

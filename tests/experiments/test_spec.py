@@ -118,6 +118,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(apps=("a",), jobs=-1)
 
+    @pytest.mark.parametrize("jobs", [2.7, 2.0, True, False, "2"])
+    def test_jobs_must_be_an_integer(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be an integer"):
+            ExperimentSpec(apps=("nas-bt",), jobs=jobs)
+
+    def test_spec_files_reject_non_integer_jobs(self):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            ExperimentSpec.from_toml(
+                '[experiment]\napps = ["nas-bt"]\njobs = 1.5\n')
+        with pytest.raises(ConfigurationError, match="jobs"):
+            ExperimentSpec.from_json(
+                '{"experiment": {"apps": ["nas-bt"], "jobs": "2"}}')
+        with pytest.raises(ConfigurationError, match="jobs"):
+            ExperimentSpec.from_json(
+                '{"experiment": {"apps": ["nas-bt"], "jobs": true}}')
+
 
     @pytest.mark.parametrize("field", ["bandwidths", "latencies",
                                        "cpu_speeds"])

@@ -247,6 +247,13 @@ count = 4
         assert main(["run", "--spec", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_rejects_non_integer_jobs(self, tmp_path, capsys):
+        path = tmp_path / "experiment.toml"
+        path.write_text(self.SPEC.replace("jobs = 1", "jobs = 1.5"),
+                        encoding="utf-8")
+        assert main(["run", "--spec", str(path), "--dry-run"]) == 1
+        assert "jobs must be an integer" in capsys.readouterr().err
+
     def test_run_rejects_a_nan_axis(self, tmp_path, capsys):
         path = self._write(tmp_path).with_suffix(".json")
         path.write_text('{"experiment": {"apps": ["sancho-loop"],'
